@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .metrics import (
     FidelityBreakdown,
-    MetricInput,
     avg_fidelity_f1,
     avg_leakage,
     gate_breakdown,
@@ -75,7 +74,6 @@ __all__ = [
     "reference_integrate",
     "read_bitstreams",
     "write_bitstreams",
-    "MetricInput",
     "FidelityBreakdown",
     "avg_fidelity_f1",
     "rz_fidelity_f2",

@@ -25,7 +25,8 @@ from .config import (
     build_system,
     parse_config,
 )
-from .metrics import agreement_f1, gate_breakdown
+from .files import atomic_open
+from .metrics import agreement_f1
 from .propagate import (
     ConvergenceError,
     PulseSchedule,
@@ -36,7 +37,7 @@ from .propagate import (
     write_bitstreams,
 )
 from .reports import evaluate_gate, write_report
-from .search import run_ga
+from .search import load_checkpoint, run_ga
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -148,6 +149,11 @@ def cmd_learn(args) -> int:
     out = _out_dir(args, cfg)
     system = build_system(cfg)
     target = cfg.target()
+    if args.resume is not None:  # checked here, before anything is written
+        try:
+            load_checkpoint(args.resume, system, target, cfg.num_cycles, cfg.ga)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot resume from {args.resume}: {exc}") from exc
 
     out.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out / "checkpoint.txt" if args.checkpoint_every > 0 else None
@@ -261,27 +267,23 @@ def cmd_sweep(args) -> int:
         try:
             system = build_system(variant)
             result = run_ga(system, variant.target(), variant.num_cycles, ga)
-            leak = gate_breakdown(
-                evolve_full(precompute(system), result.best.schedule()),
-                system,
-                variant.target(),
-            ).leakage
+            report = evaluate_gate(variant, result.best.schedule(), search=result)
             rows.append([
                 repr(value),
-                repr(1.0 - result.breakdown.f1),
-                repr(1.0 - result.breakdown.f2),
-                repr(float(leak)),
+                repr(1.0 - report.f1),
+                repr(1.0 - report.f2),
+                repr(report.leakage),
                 str(result.iterations_used),
                 repr(result.wall_time_s),
             ])
             print(f"{args.param} = {value}: error = "
                   f"{1.0 - result.best.fitness:.3e} "
                   f"({result.iterations_used} iterations)")
-        except Exception as exc:  # record the failure, keep sweeping
+        except ValueError as exc:  # ConfigError included; keep sweeping
             rows.append([repr(value), "", "", "", "", ""])
             print(f"warning: point {args.param} = {value} failed: {exc}",
                   file=sys.stderr)
-    with open(csv_path, "w", newline="", encoding="ascii") as fh:
+    with atomic_open(csv_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["value", "error_f1", "error_f2", "leakage", "iterations", "seconds"]

@@ -9,7 +9,7 @@ experiment.
 from __future__ import annotations
 
 from configparser import ConfigParser, Error as ConfigParserError
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .qubits import (
     split_transmon_levels,
     transmon_levels,
 )
-from .search import METRICS, GaConfig
+from .search import GaConfig
 from .system import ControlChannel, CoupledSystem, GateTarget, assemble, lookup_target
 
 __all__ = [
@@ -54,16 +54,7 @@ _SECTION_KEYS = {
     "coupling": {"j_ghz"},
     "gate": {"target", "time_ns", "clock_ps"},
     "learning": {"n_levels", "n_sim_levels"},
-    "ga": {
-        "seed",
-        "population_size",
-        "selection_size",
-        "mutation_probability",
-        "max_iterations",
-        "target_fidelity",
-        "elitism_count",
-        "metric",
-    },
+    "ga": {f.name for f in fields(GaConfig)},
     "output": {"out_dir"},
 }
 
@@ -181,28 +172,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
     ga_kwargs: dict = {"max_iterations": DESK_MAX_ITERATIONS}
     if cp.has_section("ga"):
         _check_keys(cp, "ga")
-        g = cp["ga"]
-        if "seed" in g:
-            ga_kwargs["seed"] = _get_int(cp, "ga", "seed")
-        if "population_size" in g:
-            ga_kwargs["population_size"] = _get_int(cp, "ga", "population_size")
-        if "selection_size" in g:
-            ga_kwargs["selection_size"] = _get_int(cp, "ga", "selection_size")
-        if "mutation_probability" in g:
-            ga_kwargs["mutation_probability"] = _get_float(
-                cp, "ga", "mutation_probability"
-            )
-        if "max_iterations" in g:
-            ga_kwargs["max_iterations"] = _get_int(cp, "ga", "max_iterations")
-        if "target_fidelity" in g:
-            ga_kwargs["target_fidelity"] = _get_float(cp, "ga", "target_fidelity")
-        if "elitism_count" in g:
-            ga_kwargs["elitism_count"] = _get_int(cp, "ga", "elitism_count")
-        if "metric" in g:
-            metric = _get_str(cp, "ga", "metric").lower()
-            if metric not in METRICS:
-                raise ConfigError(f"metric must be one of {METRICS}")
-            ga_kwargs["metric"] = metric
+        getters = {int: _get_int, float: _get_float, str: _get_str}
+        for f in fields(GaConfig):
+            if cp.has_option("ga", f.name):
+                ga_kwargs[f.name] = getters[type(f.default)](cp, "ga", f.name)
+        if "metric" in ga_kwargs:
+            ga_kwargs["metric"] = ga_kwargs["metric"].lower()
     try:
         ga = GaConfig(**ga_kwargs)
     except ValueError as exc:

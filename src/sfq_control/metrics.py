@@ -10,14 +10,13 @@ free.  Leakage is population escaping the computational block under the full
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .system import CoupledSystem, GateTarget
 
 __all__ = [
-    "MetricInput",
     "FidelityBreakdown",
     "avg_fidelity_f1",
     "rz_fidelity_f2",
@@ -28,36 +27,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MetricInput:
-    """Evolution operator truncated to the learning space, plus its target."""
-
-    u: np.ndarray
-    target: GateTarget
-    num_qubits: int
-    n_levels: int
-
-    def __post_init__(self) -> None:
-        u = np.asarray(self.u, dtype=complex)
-        d = self.n_levels**self.num_qubits
-        if u.shape != (d, d):
-            raise ValueError(
-                f"u must be {d}x{d} for {self.num_qubits} qubit(s) at "
-                f"n_levels={self.n_levels}, got {u.shape}"
-            )
-        if self.target.num_qubits != self.num_qubits:
-            raise ValueError("target qubit count does not match")
-        object.__setattr__(self, "u", u)
-
-    def comp_block(self) -> np.ndarray:
-        idx = _comp_indices(self.num_qubits, self.n_levels)
-        return self.u[np.ix_(idx, idx)]
-
-
-def _comp_indices(num_qubits: int, n_levels: int) -> np.ndarray:
-    if num_qubits == 1:
-        return np.array([0, 1])
-    return np.array([0, 1, n_levels, n_levels + 1])
+def _check_block(block: np.ndarray, target: GateTarget) -> np.ndarray:
+    a = np.asarray(block, dtype=complex)
+    d = target.matrix.shape[0]
+    if a.shape != (d, d):
+        raise ValueError(
+            f"computational block must be {d}x{d} for target {target.name}, "
+            f"got {a.shape}"
+        )
+    return a
 
 
 def _f1_from_block(a: np.ndarray, target: np.ndarray) -> float:
@@ -67,16 +45,18 @@ def _f1_from_block(a: np.ndarray, target: np.ndarray) -> float:
     return float((gamma + abs(tr) ** 2) / (d * (d + 1)))
 
 
-def avg_fidelity_f1(mi: MetricInput) -> float:
-    """Average gate fidelity of the computational block vs the target.
+def avg_fidelity_f1(block: np.ndarray, target: GateTarget) -> float:
+    """Average gate fidelity of the computational block A vs the target.
 
     (||A||_F^2 + |tr(T^dag A)|^2) / (d^2 + d); insensitive to global phase,
     equals 1 iff A == e^{i phi} T.
     """
-    return _f1_from_block(mi.comp_block(), mi.target.matrix)
+    return _f1_from_block(_check_block(block, target), target.matrix)
 
 
-def rz_fidelity_f2(mi: MetricInput) -> tuple[float, tuple[float, ...]]:
+def rz_fidelity_f2(
+    block: np.ndarray, target: GateTarget
+) -> tuple[float, tuple[float, ...]]:
     """F1 maximized over a trailing virtual Z per qubit.
 
     Returns (f2, z_angles); applying diag phases exp(i k . angles) after the
@@ -84,8 +64,8 @@ def rz_fidelity_f2(mi: MetricInput) -> tuple[float, tuple[float, ...]]:
     closed form (sup over a unit phase of |a + b y| is |a| + |b|); the outer
     one is maximized on a coarse grid refined by golden-section steps.
     """
-    a = mi.comp_block()[None, :, :]
-    f2, angles = _f2_batch(a, mi.target.matrix, return_angles=True)
+    a = _check_block(block, target)[None, :, :]
+    f2, angles = _f2_batch(a, target.matrix, return_angles=True)
     return float(f2[0]), tuple(float(x) for x in angles[0])
 
 
@@ -161,22 +141,21 @@ def _golden_max(f, lo: np.ndarray, hi: np.ndarray, iters: int = 48) -> np.ndarra
     return 0.5 * (a + b)
 
 
-def avg_leakage(u_full: np.ndarray, num_qubits: int, n_sim_levels: int) -> float:
+def avg_leakage(u_full: np.ndarray, system: CoupledSystem) -> float:
     """Average population leaving the computational block.
 
     1 - tr(P U P U^dag P) / 2^q for the diagonal projector P onto the
     computational indices of the full simulation space; u_full must be the
     unprojected evolution.
     """
-    d = 2**num_qubits
-    dim = n_sim_levels**num_qubits
+    dim = system.dim_sim
     if u_full.shape != (dim, dim):
         raise ValueError(
-            f"u_full must be {dim}x{dim} for n_sim_levels={n_sim_levels}"
+            f"u_full must be {dim}x{dim} for n_sim_levels={system.n_sim_levels}"
         )
-    idx = _comp_indices(num_qubits, n_sim_levels)
+    idx = system.learn_indices[system.comp_indices]
     block = u_full[np.ix_(idx, idx)]
-    return 1.0 - float(np.sum(np.abs(block) ** 2)) / d
+    return 1.0 - float(np.sum(np.abs(block) ** 2)) / system.dim_comp
 
 
 def agreement_f1(a_block: np.ndarray, b_block: np.ndarray) -> float:
@@ -225,15 +204,10 @@ def gate_breakdown(
     """All metrics from one full-space evolution (consistent truncations)."""
     learn = system.learn_indices
     m = u_full[np.ix_(learn, learn)]
-    mi = MetricInput(
-        u=m, target=target, num_qubits=system.num_qubits, n_levels=system.n_levels
-    )
-    f1 = avg_fidelity_f1(mi)
-    f2, angles = rz_fidelity_f2(mi)
-    leak = avg_leakage(u_full, system.num_qubits, system.n_sim_levels)
     norm_loss = 1.0 - float(np.sum(np.abs(m) ** 2)) / system.dim_learn
-    return FidelityBreakdown(
-        f1=f1, f2=f2, norm_loss=norm_loss, z_angles=angles, leakage=leak
+    return replace(
+        projected_breakdown(m, norm_loss, system, target),
+        leakage=avg_leakage(u_full, system),
     )
 
 
@@ -241,12 +215,16 @@ def projected_breakdown(
     matrix: np.ndarray, norm_loss: float, system: CoupledSystem, target: GateTarget
 ) -> FidelityBreakdown:
     """Metrics of a learning-space (projected) evolution; no leakage."""
-    mi = MetricInput(
-        u=matrix, target=target, num_qubits=system.num_qubits,
-        n_levels=system.n_levels,
-    )
-    f1 = avg_fidelity_f1(mi)
-    f2, angles = rz_fidelity_f2(mi)
+    d = system.dim_learn
+    if matrix.shape != (d, d):
+        raise ValueError(f"matrix must be {d}x{d} (learning space), got {matrix.shape}")
+    comp = system.comp_indices
+    block = matrix[np.ix_(comp, comp)]
+    f2, angles = rz_fidelity_f2(block, target)
     return FidelityBreakdown(
-        f1=f1, f2=f2, norm_loss=norm_loss, z_angles=angles, leakage=None
+        f1=avg_fidelity_f1(block, target),
+        f2=f2,
+        norm_loss=norm_loss,
+        z_angles=angles,
+        leakage=None,
     )

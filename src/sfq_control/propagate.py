@@ -3,9 +3,11 @@
 The working model treats each pulse as a delta kick at the start of its clock
 cycle: one cycle is ``free @ kick(mask)`` where ``mask`` says which channels
 fired.  All 2^n_channels cycle unitaries are precomputed once, so evolving a
-schedule is a chain of matrix products.  Results are reported in the rest
-frame of the uncoupled qubits, with the frame rotation applied once at the
-final time.
+schedule is a chain of matrix products, all formed by the one kernel
+``chain``.  Batched scoring chains k cycles per product from word tables
+(the Four-Russians lookup: a k-cycle word indexes its precomputed product).
+Results are reported in the rest frame of the uncoupled qubits, with the
+frame rotation applied once at the final time.
 
 ``reference_integrate`` is the independent check on the delta-kick model: it
 integrates the Schrodinger equation with finite-width Gaussian pulses using a
@@ -19,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .files import atomic_open
 from .system import CoupledSystem, kick_generator
 
 __all__ = [
@@ -28,6 +31,10 @@ __all__ = [
     "ConvergenceError",
     "BitstreamFormatError",
     "precompute",
+    "pack_words",
+    "word_tables",
+    "chain",
+    "chain_bits",
     "evolve_projected",
     "evolve_full",
     "reference_integrate",
@@ -92,32 +99,28 @@ class PulseSchedule:
 
     def masks(self) -> np.ndarray:
         """Per-cycle channel mask (bit c set when channel c fires)."""
-        if self.num_channels == 0:
-            return np.zeros(self.num_cycles, dtype=np.int64)
-        weights = (1 << np.arange(self.num_channels, dtype=np.int64))[:, None]
-        return (self.bits.astype(np.int64) * weights).sum(axis=0)
+        return pack_words(self.bits, 1)
 
 
 # -- precomputed cycle unitaries ----------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class CycleUnitarySet:
     """Every one-cycle unitary the delta-kick model can produce.
 
     combos[mask] = free @ kick(mask); kick(mask) applies all fired channels
     at the cycle start (generators summed before exponentiation, so
     simultaneous bits on one qubit are legal even when they don't commute).
+    combos_learn holds the same stack cut to the learning subspace.
     """
 
     system: CoupledSystem
-    free: np.ndarray
-    combos: dict[int, np.ndarray]
-    projector_learn: np.ndarray
+    combos: np.ndarray = field(repr=False)  # (2^nch, dim_sim, dim_sim)
     combos_learn: np.ndarray = field(repr=False)  # (2^nch, dim_learn, dim_learn)
 
     @property
-    def num_masks(self) -> int:
-        return len(self.combos)
+    def free(self) -> np.ndarray:
+        return self.combos[0]
 
 
 def _expm_herm(h: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -127,28 +130,67 @@ def _expm_herm(h: np.ndarray, scale: float = 1.0) -> np.ndarray:
 
 
 def precompute(system: CoupledSystem) -> CycleUnitarySet:
-    dt = system.clock_period
-    free = _expm_herm(system.h_static, dt)
+    free = _expm_herm(system.h_static, system.clock_period)
     gens = [kick_generator(system, c) for c in system.channels]
-    nch = len(gens)
-    combos: dict[int, np.ndarray] = {}
-    for mask in range(1 << nch):
-        if mask == 0:
-            combos[0] = free
-            continue
-        gen = sum(gens[i] for i in range(nch) if mask >> i & 1)
-        combos[mask] = free @ _expm_herm(gen)
+    combos = [free]
+    for mask in range(1, 1 << len(gens)):
+        gen = sum(g for i, g in enumerate(gens) if mask >> i & 1)
+        combos.append(free @ _expm_herm(gen))
+    combos = np.stack(combos)
     learn = system.learn_indices
-    combos_learn = np.stack(
-        [combos[m][np.ix_(learn, learn)] for m in range(1 << nch)]
-    )
     return CycleUnitarySet(
-        system=system,
-        free=free,
-        combos=combos,
-        projector_learn=system.projector_learn(),
-        combos_learn=combos_learn,
+        system=system, combos=combos, combos_learn=combos[:, learn][:, :, learn]
     )
+
+
+# -- the chain kernel -----------------------------------------------------------
+
+def pack_words(bits: np.ndarray, k: int) -> np.ndarray:
+    """Pack bits (..., nch, N), N a multiple of k, into words of k cycles:
+    bit c of a word's i-th cycle is bit i * nch + c (k = 1: channel masks)."""
+    *lead, nch, n = bits.shape
+    grouped = bits.reshape(*lead, nch, n // k, k).astype(np.int64)
+    shifts = np.arange(k) * nch + np.arange(nch)[:, None]  # (nch, k)
+    return (grouped << shifts[:, None, :]).sum(axis=(-3, -1))
+
+
+def word_tables(mats: np.ndarray, k: int) -> list[np.ndarray]:
+    """[T_1 = mats, T_2, T_4, ..., T_k] by squaring, k a power of two:
+    T_j[w] is the product of the j cycles packed in word w, earliest
+    rightmost, so T_2j[hi * len(T_j) + lo] = T_j[hi] @ T_j[lo]."""
+    tables = [mats]
+    while 1 << len(tables) <= k:
+        t = tables[-1]
+        tables.append(np.matmul(t[:, None], t[None, :]).reshape(-1, *t.shape[1:]))
+    return tables
+
+
+def chain(mats: np.ndarray, words: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Left-multiply m by mats[w] for each word w in turn: words (S,) chain
+    one operator with 2-D products, words (B, S) a batch m (B, dim, c)."""
+    if words.ndim == 1:
+        for w in words:
+            m = mats[w] @ m
+        return m
+    for s in range(words.shape[1]):
+        m = np.matmul(mats[words[:, s]], m)
+    return m
+
+
+def chain_bits(
+    tables: list[np.ndarray], bits: np.ndarray, m: np.ndarray
+) -> np.ndarray:
+    """Chain a batch m (B, dim, c) along bits (B, nch, N) by word tables:
+    whole words of k cycles from tables[-1] (k = 2^(len(tables) - 1)), then
+    the N mod k cycles left by its binary expansion, largest part first."""
+    start = 0
+    for j in reversed(range(len(tables))):
+        size = 1 << j
+        end = start + (bits.shape[-1] - start) // size * size
+        if end > start:
+            m = chain(tables[j], pack_words(bits[..., start:end], size), m)
+            start = end
+    return m
 
 
 # -- evolution ----------------------------------------------------------------
@@ -191,10 +233,7 @@ def evolve_projected(
     system = cycles.system
     _check_schedule(system, schedule)
     d = system.dim_learn
-    m = np.eye(d, dtype=complex)
-    combos = cycles.combos_learn
-    for mask in schedule.masks():
-        m = combos[mask] @ m
+    m = chain(cycles.combos_learn, schedule.masks(), np.eye(d, dtype=complex))
     total_time = schedule.num_cycles * system.clock_period
     phases = _frame_phases(system, total_time)[system.learn_indices]
     m = phases[:, None] * m
@@ -208,10 +247,7 @@ def evolve_full(
     """Unprojected evolution on the full simulation space (unitary)."""
     system = cycles.system
     _check_schedule(system, schedule)
-    u = np.eye(system.dim_sim, dtype=complex)
-    combos = [cycles.combos[m] for m in range(cycles.num_masks)]
-    for mask in schedule.masks():
-        u = combos[mask] @ u
+    u = chain(cycles.combos, schedule.masks(), np.eye(system.dim_sim, dtype=complex))
     if rest_frame:
         total_time = schedule.num_cycles * system.clock_period
         u = _frame_phases(system, total_time)[:, None] * u
@@ -362,7 +398,7 @@ def write_bitstreams(
             f"# channel={key} cycles={schedule.num_cycles} clock_ps={clock_ps!r}"
         )
         lines.append(row)
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, build_system
+from .files import atomic_open
 from .metrics import FidelityBreakdown, gate_breakdown
 from .propagate import PulseSchedule, evolve_full, precompute
 from .search import SearchResult, evaluate_fitness
@@ -143,7 +144,7 @@ def write_report(path, report: GateReport) -> None:
     cp["bitstreams"] = {
         key.replace(":", "_"): row for key, row in report.bitstreams.items()
     }
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path) as fh:
         cp.write(fh)
 
 

@@ -12,13 +12,21 @@ from __future__ import annotations
 
 import json
 import time
-from configparser import ConfigParser
-from dataclasses import dataclass, replace
+from configparser import ConfigParser, Error as ConfigParserError
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .files import atomic_open
 from .metrics import FidelityBreakdown, _f1_batch, _f2_batch, projected_breakdown
-from .propagate import CycleUnitarySet, PulseSchedule, evolve_projected, precompute
+from .propagate import (
+    CycleUnitarySet,
+    PulseSchedule,
+    chain_bits,
+    evolve_projected,
+    precompute,
+    word_tables,
+)
 from .system import CoupledSystem, GateTarget
 
 __all__ = [
@@ -28,8 +36,10 @@ __all__ = [
     "run_ga",
     "evaluate_fitness",
     "crossover",
+    "CheckpointError",
     "write_checkpoint",
     "read_checkpoint",
+    "load_checkpoint",
 ]
 
 METRICS = ("f1", "f2")
@@ -39,9 +49,8 @@ METRICS = ("f1", "f2")
 class GaConfig:
     """Search knobs; defaults are the full-size settings.
 
-    elitism_count is accepted for completeness but has no effect: replacing
-    only the worst with strictly better children already preserves the top
-    of the population every generation.
+    There is no elitism knob: replacing only the worst with strictly better
+    children already preserves the top of the population every generation.
     """
 
     population_size: int = 70
@@ -49,7 +58,6 @@ class GaConfig:
     mutation_probability: float = 0.001
     max_iterations: int = 200_000
     target_fidelity: float = 0.999
-    elitism_count: int = 2
     metric: str = "f2"
     seed: int = 0
 
@@ -68,8 +76,6 @@ class GaConfig:
             raise ValueError("target_fidelity must be in (0, 1]")
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
-        if self.elitism_count < 0:
-            raise ValueError("elitism_count must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -128,138 +134,72 @@ def crossover(
 
 # -- batched fitness -----------------------------------------------------------
 
+# Entry cap of the search's word tables: a word packs k cycles of nch bits,
+# and 2^(nch * k) <= _TABLE_ENTRIES.
+_TABLE_ENTRIES = 256
+
+
 class _FitnessEngine:
     """Evolves only the computational columns of every candidate at once.
 
     Identical math to evolve_projected (the projector sandwich telescopes to
-    a product of learning-block matrices); the final reported numbers always
-    come from the canonical scalar path.
+    a product of learning-block matrices), chained k cycles per product from
+    word tables built once per engine; products associate differently, so
+    scores differ from the canonical path by rounding only.  The final
+    reported numbers always come from the canonical scalar path.
     """
 
     def __init__(
-        self,
-        system: CoupledSystem,
-        target: GateTarget,
-        num_cycles: int,
-        metric: str,
+        self, system: CoupledSystem, target: GateTarget, num_cycles: int, metric: str
     ) -> None:
-        self.system = system
         self.target = target
         self.metric = metric
-        self.num_cycles = num_cycles
         self.cycles = precompute(system)
         self.comp = system.comp_indices
-        self.dim_learn = system.dim_learn
-        self.d = system.dim_comp
         total_time = num_cycles * system.clock_period
         self.frame = np.exp(
             1j * system.bare_energies[system.learn_indices] * total_time
-        )
+        )[self.comp]
+        self.start = np.zeros((system.dim_learn, system.dim_comp), dtype=complex)
+        self.start[self.comp, np.arange(system.dim_comp)] = 1.0
         nch = len(system.channels)
-        self.nch = nch
-        self.mask_weights = (1 << np.arange(max(nch, 1), dtype=np.int64))
-        self.z_only = nch > 0 and all(c.axis == "z" for c in system.channels)
-        if self.z_only:
-            self.free_learn = np.ascontiguousarray(self.cycles.combos_learn[0])
-            self.kick_diags = self._z_kick_diags()
-        else:
-            self.combos = [
-                np.ascontiguousarray(m) for m in self.cycles.combos_learn
-            ]
+        k = 1
+        while 2 * k <= num_cycles and 1 << (2 * k * nch) <= _TABLE_ENTRIES:
+            k *= 2
+        self.tables = word_tables(self.cycles.combos_learn, k)
         self.cache: dict[bytes, float] = {}
         self.cache_cap = 100_000
         self.n_evaluations = 0
 
-    def _z_kick_diags(self) -> np.ndarray:
-        """Per-mask diagonal kick factors on the learning subspace."""
-        sys_ = self.system
-        nl, q = sys_.n_levels, sys_.num_qubits
-        if q == 1:
-            level_of = [np.arange(nl)]
-        else:
-            level_of = [
-                np.repeat(np.arange(nl), nl),  # qubit 0 level per learn index
-                np.tile(np.arange(nl), nl),  # qubit 1 level per learn index
-            ]
-        per_channel = []
-        for ch in sys_.channels:
-            per_channel.append(np.exp(-1j * ch.tip_angle * level_of[ch.qubit]))
-        diags = np.ones((1 << self.nch, self.dim_learn), dtype=complex)
-        for mask in range(1, 1 << self.nch):
-            d = np.ones(self.dim_learn, dtype=complex)
-            for i in range(self.nch):
-                if mask >> i & 1:
-                    d = d * per_channel[i]
-            diags[mask] = d
-        return diags
-
-    def _masks(self, bits: np.ndarray) -> np.ndarray:
-        # bits: (B, nch, N) -> (B, N)
-        return (bits.astype(np.int64) * self.mask_weights[None, : self.nch, None]).sum(
-            axis=1
-        )
-
-    def evolve_columns(self, bits: np.ndarray) -> np.ndarray:
-        """Computational columns of the projected evolution; (B, dL, d)."""
-        b = bits.shape[0]
-        masks = self._masks(bits)
-        if self.z_only:
-            # Flat child-major layout (dL, B*d): one gemm per cycle.
-            m = np.zeros((self.dim_learn, b * self.d), dtype=complex)
-            cols = np.arange(b * self.d)
-            m[self.comp[cols % self.d], cols] = 1.0
-            col_child = np.repeat(np.arange(b), self.d)
-            masks_exp = masks[col_child, :]  # (B*d, N)
-            free = self.free_learn
-            diags_t = np.ascontiguousarray(self.kick_diags.T)  # (dL, n_masks)
-            for t in range(self.num_cycles):
-                kd = diags_t[:, masks_exp[:, t]]  # (dL, B*d)
-                m = free @ (kd * m)
-            m = m * self.frame[:, None]
-            return m.reshape(self.dim_learn, b, self.d).transpose(1, 0, 2).copy()
-        m = np.zeros((b, self.dim_learn, self.d), dtype=complex)
-        m[:, self.comp, np.arange(self.d)] = 1.0
-        for t in range(self.num_cycles):
-            mt = masks[:, t]
-            for mask in np.unique(mt):
-                sel = mt == mask
-                m[sel] = self.combos[mask] @ m[sel]
-        return m * self.frame[None, :, None]
-
     def _fitness_batch(self, bits: np.ndarray) -> np.ndarray:
-        a = self.evolve_columns(bits)[:, self.comp, :]
+        start = np.broadcast_to(self.start, (len(bits), *self.start.shape))
+        m = chain_bits(self.tables, bits, start)
+        a = m[:, self.comp, :] * self.frame[None, :, None]
         if self.metric == "f1":
             return _f1_batch(a, self.target.matrix)
         return _f2_batch(a, self.target.matrix)
 
     def fitness(self, bits: np.ndarray) -> np.ndarray:
         """Batch fitness with a de-duplication cache keyed by raw bits."""
-        b = bits.shape[0]
-        out = np.empty(b)
-        todo = []
-        keys = []
-        for i in range(b):
-            key = bits[i].tobytes()
-            keys.append(key)
-            hit = self.cache.get(key)
-            if hit is None:
-                todo.append(i)
-            else:
-                out[i] = hit
-        if todo:
-            fresh = self._fitness_batch(bits[todo])
-            self.n_evaluations += len(todo)
-            if len(self.cache) + len(todo) > self.cache_cap:
+        keys = [row.tobytes() for row in bits]
+        out = np.array([self.cache.get(key, np.nan) for key in keys])
+        todo = np.flatnonzero(np.isnan(out))
+        if todo.size:
+            out[todo] = self._fitness_batch(bits[todo])
+            self.n_evaluations += todo.size
+            if len(self.cache) + todo.size > self.cache_cap:
                 self.cache.clear()
-            for i, f in zip(todo, fresh):
-                out[i] = f
-                self.cache[keys[i]] = float(f)
+            self.cache.update((keys[i], float(out[i])) for i in todo)
         return out
 
 
 # -- checkpointing -------------------------------------------------------------
 
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
+
+
+class CheckpointError(ValueError):
+    """A checkpoint that cannot be read, or was written for another run."""
 
 
 def _fingerprint(system: CoupledSystem, target: GateTarget, num_cycles: int) -> str:
@@ -286,7 +226,7 @@ def write_checkpoint(
     fitness: np.ndarray,
     config: GaConfig,
 ) -> None:
-    """Persist the full search state as structured text."""
+    """Persist the full search state as structured text, atomically."""
     cp = ConfigParser()
     cp["meta"] = {
         "version": str(_CHECKPOINT_VERSION),
@@ -296,16 +236,7 @@ def write_checkpoint(
         "num_channels": str(population.shape[1]),
         "num_cycles": str(population.shape[2]),
     }
-    cp["ga"] = {
-        "population_size": str(config.population_size),
-        "selection_size": str(config.selection_size),
-        "mutation_probability": repr(config.mutation_probability),
-        "max_iterations": str(config.max_iterations),
-        "target_fidelity": repr(config.target_fidelity),
-        "elitism_count": str(config.elitism_count),
-        "metric": config.metric,
-        "seed": str(config.seed),
-    }
+    cp["ga"] = {f.name: str(getattr(config, f.name)) for f in fields(GaConfig)}
     cp["rng"] = {"state": json.dumps(rng.bit_generator.state)}
     pop = {}
     for i in range(population.shape[0]):
@@ -314,17 +245,37 @@ def write_checkpoint(
             row = population[i, c]
             pop[f"bits_{i}_{c}"] = "".join("1" if x else "0" for x in row)
     cp["population"] = pop
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path) as fh:
         cp.write(fh)
 
 
 def read_checkpoint(path) -> dict:
+    """Parse a checkpoint file; OSError if it cannot be opened.
+
+    Anything but a well-formed version-2 checkpoint raises CheckpointError
+    with a one-line message.
+    """
     cp = ConfigParser()
     with open(path, "r", encoding="ascii") as fh:
-        cp.read_file(fh)
+        try:
+            cp.read_file(fh)
+            return _parse_checkpoint(cp)
+        except CheckpointError:
+            raise
+        except (ConfigParserError, KeyError, ValueError) as exc:
+            detail = " ".join(str(exc).split())
+            raise CheckpointError(
+                f"not a readable checkpoint ({type(exc).__name__}: {detail})"
+            ) from exc
+
+
+def _parse_checkpoint(cp: ConfigParser) -> dict:
     meta = cp["meta"]
-    if int(meta["version"]) != _CHECKPOINT_VERSION:
-        raise ValueError("unsupported checkpoint version")
+    if meta["version"] != str(_CHECKPOINT_VERSION):
+        raise CheckpointError(
+            f"checkpoint version {meta['version']} is not supported "
+            f"(this release reads version {_CHECKPOINT_VERSION})"
+        )
     p = int(meta["population_size"])
     nch = int(meta["num_channels"])
     n = int(meta["num_cycles"])
@@ -335,20 +286,11 @@ def read_checkpoint(path) -> dict:
         fitness[i] = float.fromhex(sect[f"fitness_{i}"])
         for c in range(nch):
             row = sect[f"bits_{i}_{c}"]
-            if len(row) != n:
-                raise ValueError("checkpoint bit row length mismatch")
+            if len(row) != n or set(row) - {"0", "1"}:
+                raise CheckpointError(f"checkpoint bit row {i}/{c} is malformed")
             population[i, c] = np.frombuffer(row.encode(), dtype=np.uint8) - ord("0")
     ga = cp["ga"]
-    config = GaConfig(
-        population_size=int(ga["population_size"]),
-        selection_size=int(ga["selection_size"]),
-        mutation_probability=float(ga["mutation_probability"]),
-        max_iterations=int(ga["max_iterations"]),
-        target_fidelity=float(ga["target_fidelity"]),
-        elitism_count=int(ga["elitism_count"]),
-        metric=ga["metric"],
-        seed=int(ga["seed"]),
-    )
+    config = GaConfig(**{f.name: type(f.default)(ga[f.name]) for f in fields(GaConfig)})
     return {
         "fingerprint": meta["fingerprint"],
         "iteration": int(meta["iteration"]),
@@ -357,6 +299,22 @@ def read_checkpoint(path) -> dict:
         "fitness": fitness,
         "config": config,
     }
+
+
+def load_checkpoint(
+    path, system: CoupledSystem, target: GateTarget, num_cycles: int, config: GaConfig
+) -> dict:
+    """read_checkpoint, then check that the state resumes this run.
+
+    The iteration budget may be extended on resume; everything that feeds
+    the random stream or the scoring must match exactly.
+    """
+    state = read_checkpoint(path)
+    if state["fingerprint"] != _fingerprint(system, target, num_cycles):
+        raise CheckpointError("checkpoint was written for a different problem")
+    if replace(state["config"], max_iterations=config.max_iterations) != config:
+        raise CheckpointError("checkpoint was written with different GA settings")
+    return state
 
 
 # -- the search ----------------------------------------------------------------
@@ -390,13 +348,7 @@ def run_ga(
     start_iter = 0
 
     if resume_from is not None:
-        state = read_checkpoint(resume_from)
-        if state["fingerprint"] != fingerprint:
-            raise ValueError("checkpoint was written for a different problem")
-        # The iteration budget may be extended on resume; everything that
-        # feeds the random stream or the scoring must match exactly.
-        if replace(state["config"], max_iterations=config.max_iterations) != config:
-            raise ValueError("checkpoint was written with different GA settings")
+        state = load_checkpoint(resume_from, system, target, num_cycles, config)
         population = state["population"]
         fitness = state["fitness"]
         rng.bit_generator.state = state["rng_state"]
@@ -409,24 +361,42 @@ def run_ga(
     history: list[float] = []
     rank_weights = np.arange(p, 0, -1, dtype=float)  # best gets p, worst gets 1
 
-    def canonical(best_idx: int) -> FidelityBreakdown:
-        return evaluate_fitness(
-            engine.cycles,
-            PulseSchedule(population[best_idx]),
-            target,
-            config.metric,
+    def canonical(i: int) -> FidelityBreakdown:
+        schedule = PulseSchedule(population[i])
+        return evaluate_fitness(engine.cycles, schedule, target, config.metric)
+
+    def save() -> None:
+        write_checkpoint(
+            checkpoint_path,
+            fingerprint=fingerprint,
+            iteration=iteration,
+            rng=rng,
+            population=population,
+            fitness=fitness,
+            config=config,
         )
 
-    terminated_by = "max_iterations"
-    iteration = start_iter
-    best_idx = int(np.argmax(fitness))
-    breakdown = None
-    if fitness[best_idx] >= config.target_fidelity:
-        breakdown = canonical(best_idx)
-        if breakdown.value(config.metric) >= config.target_fidelity:
-            terminated_by = "target_reached"
+    def check_best() -> tuple[int, FidelityBreakdown | None]:
+        """The best individual, and its canonical breakdown if it reached
+        the target.  Batch scores that pass the target are re-scored on the
+        canonical path and written back over every copy, so a pass by batch
+        rounding alone is checked once, not every iteration."""
+        best_idx = int(np.argmax(fitness))
+        while fitness[best_idx] >= config.target_fidelity:
+            bd = canonical(best_idx)
+            value = bd.value(config.metric)
+            bits = population[best_idx]
+            fitness[np.all(population == bits, axis=(1, 2))] = value
+            engine.cache[bits.tobytes()] = value
+            if value >= config.target_fidelity:
+                return best_idx, bd
+            best_idx = int(np.argmax(fitness))
+        return best_idx, None
 
-    while terminated_by != "target_reached" and iteration < config.max_iterations:
+    iteration = start_iter
+    periodic = checkpoint_path is not None and checkpoint_every > 0
+    best_idx, breakdown = check_best()
+    while breakdown is None and iteration < config.max_iterations:
         iteration += 1
         order_desc = np.argsort(-fitness, kind="stable")
         weights = np.empty(p)
@@ -454,40 +424,17 @@ def run_ga(
             if w >= p:
                 break
 
-        best_idx = int(np.argmax(fitness))
+        best_idx, breakdown = check_best()
         history.append(float(fitness[best_idx]))
-        if fitness[best_idx] >= config.target_fidelity:
-            breakdown = canonical(best_idx)
-            if breakdown.value(config.metric) >= config.target_fidelity:
-                terminated_by = "target_reached"
 
-        if (
-            checkpoint_path is not None
-            and checkpoint_every > 0
-            and iteration % checkpoint_every == 0
-        ):
-            write_checkpoint(
-                checkpoint_path,
-                fingerprint=fingerprint,
-                iteration=iteration,
-                rng=rng,
-                population=population,
-                fitness=fitness,
-                config=config,
-            )
+        if periodic and iteration % checkpoint_every == 0:
+            save()
 
-    if breakdown is None or terminated_by != "target_reached":
+    terminated_by = "max_iterations" if breakdown is None else "target_reached"
+    if breakdown is None:
         breakdown = canonical(best_idx)
     if checkpoint_path is not None:
-        write_checkpoint(
-            checkpoint_path,
-            fingerprint=fingerprint,
-            iteration=iteration,
-            rng=rng,
-            population=population,
-            fitness=fitness,
-            config=config,
-        )
+        save()
     wall = time.perf_counter() - t0
     best = Individual(
         bits=population[best_idx].copy(),

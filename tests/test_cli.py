@@ -155,6 +155,41 @@ class TestLearn:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "case",
+        ["missing", "foreign", "truncated", "version_1", "other_problem",
+         "other_settings"],
+    )
+    def test_bad_resume_exits_2_without_outputs(
+        self, fast_config, tmp_path, capsys, case
+    ):
+        run = tmp_path / "run"
+        cli.main(["learn", "--config", str(fast_config), "--out-dir", str(run),
+                  "--max-iters", "5", "--checkpoint-every", "5"])
+        ck = run / "checkpoint.txt"
+        config, extra = fast_config, []
+        if case == "missing":
+            ck = tmp_path / "none.txt"
+        elif case == "foreign":
+            ck = run / "report.txt"
+        elif case == "truncated":
+            ck.write_text(ck.read_text()[:300])
+        elif case == "version_1":
+            ck.write_text(ck.read_text().replace("version = 2", "version = 1"))
+        elif case == "other_problem":
+            config = write_variant(tmp_path, "time_ns = 0.32", "time_ns = 0.4")
+        else:
+            extra = ["--seed", "4"]
+        capsys.readouterr()
+        out = tmp_path / "resumed"
+        code = cli.main(["learn", "--config", str(config), "--out-dir", str(out),
+                         "--checkpoint-every", "1", "--resume", str(ck), *extra])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot resume from")
+        assert err.count("\n") == 1
+
 
 class TestEvaluate:
     @pytest.fixture
@@ -261,7 +296,7 @@ class TestSweep:
         def flaky(*args, **kwargs):
             calls.append(1)
             if len(calls) == 2:
-                raise RuntimeError("solver blew up")
+                raise ValueError("solver blew up")
             return real_run_ga(*args, **kwargs)
 
         monkeypatch.setattr(cli, "run_ga", flaky)
@@ -276,6 +311,21 @@ class TestSweep:
         assert len(lines) == 4
         assert lines[2] == "0.025,,,,,"
         assert "solver blew up" in capsys.readouterr().err
+
+    def test_programming_error_is_not_a_failed_point(
+        self, fast_config, tmp_path, monkeypatch
+    ):
+        def broken(*args, **kwargs):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(cli, "run_ga", broken)
+        out = tmp_path / "sweep"
+        with pytest.raises(TypeError, match="bug"):
+            cli.main(
+                ["sweep", "--config", str(fast_config), "--out-dir", str(out),
+                 "--param", "tip_angle", "--values", "0.02", "--max-iters", "5"]
+            )
+        assert not (out / "sweep.csv").exists()
 
     def test_bad_point_rejected_before_any_search(self, fast_config, tmp_path):
         out = tmp_path / "sweep"

@@ -223,6 +223,8 @@ class TestRejection:
             (lambda t: t + "\n[ga]\npopulation_size = 1\n", "population_size"),
             (lambda t: t + "\n[ga]\nselection_size = 7\n", "even"),
             (lambda t: "not ini at all\n" + t, "not valid INI"),
+            (lambda t: t + "\n[ga]\nelitism_count = 2\n",
+             "unknown key 'elitism_count'"),
         ],
     )
     def test_bad_pair_configs(self, mutate, match):

@@ -6,65 +6,78 @@ import pytest
 import sfq_control as sc
 from conftest import GHZ, make_pair_system, random_unitary
 from sfq_control.metrics import (
-    MetricInput,
     _f2_batch,
     agreement_f1,
     avg_fidelity_f1,
     avg_leakage,
     gate_breakdown,
+    projected_breakdown,
     rz_fidelity_f2,
 )
-from sfq_control.system import lookup_target
+from sfq_control.system import assemble, lookup_target
 
 
-def mi_1q(a, target="I"):
-    return MetricInput(np.asarray(a, complex), lookup_target(target), 1, 2)
+def score_f1(a, target):
+    return avg_fidelity_f1(np.asarray(a, complex), lookup_target(target))
 
 
-def mi_2q(a, target="CZ"):
-    return MetricInput(np.asarray(a, complex), lookup_target(target), 2, 2)
+def score_f2(a, target):
+    return rz_fidelity_f2(np.asarray(a, complex), lookup_target(target))
+
+
+@pytest.fixture(scope="module")
+def sim3(transmon_pair):
+    """Systems simulated at 3 levels per qubit: {1: one qubit, 2: a pair}."""
+    q0, q1 = transmon_pair
+    return {1: assemble([q0], 2, 3), 2: assemble([q0, q1], 2, 3, 0.05 * GHZ)}
 
 
 class TestF1:
     def test_hand_cases_one_qubit(self):
         # A = |0><0| vs I: (1 + 1) / 6
-        assert avg_fidelity_f1(mi_1q(np.diag([1, 0]))) == pytest.approx(1 / 3)
+        assert score_f1(np.diag([1, 0]), "I") == pytest.approx(1 / 3)
         # A = |1><0| vs I: gamma = 1, trace overlap 0: 1/6
-        assert avg_fidelity_f1(mi_1q([[0, 0], [1, 0]])) == pytest.approx(1 / 6)
+        assert score_f1([[0, 0], [1, 0]], "I") == pytest.approx(1 / 6)
         # exact match
-        assert avg_fidelity_f1(mi_1q(np.eye(2))) == pytest.approx(1.0)
+        assert score_f1(np.eye(2), "I") == pytest.approx(1.0)
         x = lookup_target("X").matrix
-        assert avg_fidelity_f1(mi_1q(x, target="X")) == pytest.approx(1.0)
+        assert score_f1(x, "X") == pytest.approx(1.0)
 
     def test_hand_cases_two_qubit(self):
         # identity scored against CZ: gamma = 4, tr(T^dag A) = 2: (4+4)/20
-        assert avg_fidelity_f1(mi_2q(np.eye(4))) == pytest.approx(0.4)
+        assert score_f1(np.eye(4), "CZ") == pytest.approx(0.4)
         cz = lookup_target("CZ").matrix
-        assert avg_fidelity_f1(mi_2q(cz)) == pytest.approx(1.0)
+        assert score_f1(cz, "CZ") == pytest.approx(1.0)
 
     def test_global_phase_invariance(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        f_base = avg_fidelity_f1(mi_2q(a))
+        f_base = score_f1(a, "CZ")
         for phi in (0.3, 1.7, -2.2):
-            assert avg_fidelity_f1(mi_2q(np.exp(1j * phi) * a)) == pytest.approx(
+            assert score_f1(np.exp(1j * phi) * a, "CZ") == pytest.approx(
                 f_base, abs=1e-12
             )
 
-    def test_uses_computational_block_of_learning_space(self):
+    def test_uses_computational_block_of_learning_space(self, transmon_pair):
         # learning space 3 levels/qubit: rows/cols {0,1,3,4} are scored
+        q0, q1 = transmon_pair
+        system = assemble([q0, q1], 3, 4, 0.05 * GHZ)
         u = np.zeros((9, 9), complex)
         comp = [0, 1, 3, 4]
-        cz = lookup_target("CZ").matrix
-        u[np.ix_(comp, comp)] = cz
-        mi = MetricInput(u, lookup_target("CZ"), 2, 3)
-        assert avg_fidelity_f1(mi) == pytest.approx(1.0)
+        u[np.ix_(comp, comp)] = lookup_target("CZ").matrix
+        bd = projected_breakdown(u, 0.0, system, lookup_target("CZ"))
+        assert bd.f1 == pytest.approx(1.0)
 
-    def test_validation(self):
+    def test_validation(self, transmon_pair):
         with pytest.raises(ValueError):
-            MetricInput(np.eye(3), lookup_target("I"), 1, 2)
+            score_f1(np.eye(3), "I")
         with pytest.raises(ValueError):
-            MetricInput(np.eye(4), lookup_target("I"), 2, 2)
+            score_f2(np.eye(4), "I")
+        system = assemble(transmon_pair, 2, 3, 0.05 * GHZ)
+        with pytest.raises(ValueError, match="learning space"):
+            projected_breakdown(np.eye(9), 0.0, system, lookup_target("CZ"))
+        with pytest.raises(ValueError, match="computational block"):
+            projected_breakdown(np.eye(4), 0.0, system, lookup_target("X"))
 
 
 def brute_force_f2(a, target, n_grid=480):
@@ -94,7 +107,7 @@ class TestF2:
         for _ in range(5):
             a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             a *= 0.5
-            f2, _ = rz_fidelity_f2(mi_2q(a))
+            f2, _ = score_f2(a, "CZ")
             brute = brute_force_f2(a, lookup_target("CZ").matrix)
             assert f2 >= brute - 1e-9
             assert f2 == pytest.approx(brute, abs=1e-4)
@@ -103,7 +116,7 @@ class TestF2:
         rng = np.random.default_rng(2)
         for _ in range(5):
             a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            f2, _ = rz_fidelity_f2(mi_1q(a))
+            f2, _ = score_f2(a, "I")
             brute = brute_force_f2(a, np.eye(2), n_grid=6000)
             assert f2 >= brute - 1e-9
             assert f2 == pytest.approx(brute, abs=1e-6)
@@ -112,32 +125,30 @@ class TestF2:
         rng = np.random.default_rng(3)
         for _ in range(20):
             a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            mi = mi_2q(a)
-            assert rz_fidelity_f2(mi)[0] >= avg_fidelity_f1(mi) - 1e-12
+            assert score_f2(a, "CZ")[0] >= score_f1(a, "CZ") - 1e-12
 
     def test_absorbs_trailing_z(self):
         # multiplying A by any per-qubit trailing Z leaves f2 unchanged
         rng = np.random.default_rng(4)
         a = random_unitary(rng, 4)
-        base, _ = rz_fidelity_f2(mi_2q(a))
+        base, _ = score_f2(a, "CZ")
         for t0, t1 in [(0.4, -1.1), (2.0, 0.7)]:
             d = np.exp(1j * (t0 * np.array([0, 0, 1, 1]) + t1 * np.array([0, 1, 0, 1])))
-            rotated, _ = rz_fidelity_f2(mi_2q(d[:, None] * a))
+            rotated, _ = score_f2(d[:, None] * a, "CZ")
             assert rotated == pytest.approx(base, abs=1e-10)
 
     def test_angles_reproduce_supremum(self):
         rng = np.random.default_rng(5)
         a = random_unitary(rng, 4)
-        mi = mi_2q(a)
-        f2, (t0, t1) = rz_fidelity_f2(mi)
+        f2, (t0, t1) = score_f2(a, "CZ")
         d = np.exp(1j * (t0 * np.array([0, 0, 1, 1]) + t1 * np.array([0, 1, 0, 1])))
-        f1_rotated = avg_fidelity_f1(mi_2q(d[:, None] * a))
+        f1_rotated = score_f1(d[:, None] * a, "CZ")
         assert f1_rotated == pytest.approx(f2, abs=1e-9)
 
     def test_perfect_gate_up_to_z(self):
         cz = lookup_target("CZ").matrix
         d = np.exp(1j * (0.9 * np.array([0, 0, 1, 1]) - 0.3 * np.array([0, 1, 0, 1])))
-        f2, _ = rz_fidelity_f2(mi_2q(d[:, None] * cz))
+        f2, _ = score_f2(d[:, None] * cz, "CZ")
         assert f2 == pytest.approx(1.0, abs=1e-12)
 
     def test_batch_matches_scalar(self):
@@ -145,34 +156,34 @@ class TestF2:
         a = rng.normal(size=(7, 4, 4)) + 1j * rng.normal(size=(7, 4, 4))
         batch = _f2_batch(a, lookup_target("CZ").matrix)
         for i in range(7):
-            scalar, _ = rz_fidelity_f2(mi_2q(a[i]))
+            scalar, _ = score_f2(a[i], "CZ")
             assert batch[i] == pytest.approx(scalar, abs=1e-12)
 
 
 class TestLeakage:
-    def test_swap_with_leakage_level(self):
+    def test_swap_with_leakage_level(self, sim3):
         # single qubit, 3 sim levels, U swaps |1> <-> |2>: half the
         # computational population leaves the block
         u = np.eye(3, dtype=complex)
         u[1, 1] = u[2, 2] = 0
         u[1, 2] = u[2, 1] = 1
-        assert avg_leakage(u, 1, 3) == pytest.approx(0.5)
+        assert avg_leakage(u, sim3[1]) == pytest.approx(0.5)
 
-    def test_identity_has_none(self):
-        assert avg_leakage(np.eye(9, dtype=complex), 2, 3) == pytest.approx(0.0)
+    def test_identity_has_none(self, sim3):
+        assert avg_leakage(np.eye(9, dtype=complex), sim3[2]) == pytest.approx(0.0)
 
-    def test_two_qubit_indices(self):
+    def test_two_qubit_indices(self, sim3):
         # permute |11> (index 4 at n_sim=3) out of the block: 1/4 leaks
         u = np.eye(9, dtype=complex)
         u[4, 4] = u[8, 8] = 0
         u[8, 4] = u[4, 8] = 1
-        assert avg_leakage(u, 2, 3) == pytest.approx(0.25)
+        assert avg_leakage(u, sim3[2]) == pytest.approx(0.25)
 
-    def test_shape_validation(self):
+    def test_shape_validation(self, sim3):
         with pytest.raises(ValueError):
-            avg_leakage(np.eye(4), 2, 3)
+            avg_leakage(np.eye(4), sim3[2])
 
-    def test_monte_carlo_haar_oracle(self):
+    def test_monte_carlo_haar_oracle(self, sim3):
         # average over Haar states of the computational block must match
         rng = np.random.default_rng(7)
         u = random_unitary(rng, 9)
@@ -184,7 +195,7 @@ class TestLeakage:
         survive = np.sum(np.abs(block @ psi) ** 2, axis=0)
         mc = 1.0 - survive.mean()
         sigma = survive.std(ddof=1) / np.sqrt(n_samples)
-        assert abs(mc - avg_leakage(u, 2, 3)) < 3 * sigma + 1e-12
+        assert abs(mc - avg_leakage(u, sim3[2])) < 3 * sigma + 1e-12
 
 
 class TestChain:

@@ -105,7 +105,7 @@ class TestEvolve:
         rng = np.random.default_rng(2)
         sch = sc.PulseSchedule.random(rng, 2, 25)
         res = sc.evolve_projected(cycles, sch)
-        p = cycles.projector_learn
+        p = pair.projector_learn()
         u = np.eye(pair.dim_sim, dtype=complex)
         for mask in sch.masks():
             u = p @ cycles.combos[mask] @ p @ u

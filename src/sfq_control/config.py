@@ -75,6 +75,9 @@ class ExperimentConfig:
     out_dir: str | None
     echo: dict = field(compare=False)
 
+    def __post_init__(self) -> None:
+        self.num_cycles  # the gate time must lie on the clock grid
+
     @property
     def num_qubits(self) -> int:
         return len(self.qubit_specs)
@@ -85,7 +88,18 @@ class ExperimentConfig:
 
     @property
     def num_cycles(self) -> int:
-        return int(round(self.time_ns * 1e3 / self.clock_ps))
+        """Clock cycles of the gate; ConfigError unless time_ns is a whole,
+        positive number of clock periods."""
+        cycles = self.time_ns * 1e3 / self.clock_ps
+        n = round(cycles)
+        if n < 1:
+            raise ConfigError("gate time is shorter than one clock cycle")
+        if abs(cycles - n) > 1e-9 * n:
+            raise ConfigError(
+                f"gate time {self.time_ns!r} ns is not a whole number of "
+                f"{self.clock_ps!r} ps clock cycles ({cycles:.6g})"
+            )
+        return n
 
     def target(self) -> GateTarget:
         return lookup_target(self.target_name)
@@ -147,8 +161,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
     clock_ps = _get_float(cp, "gate", "clock_ps", default=8.0)
     if clock_ps <= 0:
         raise ConfigError("clock_ps must be positive")
-    if int(round(time_ns * 1e3 / clock_ps)) < 1:
-        raise ConfigError("gate time is shorter than one clock cycle")
     if target.num_qubits != num_qubits:
         raise ConfigError(
             f"target {target_name} is a {target.num_qubits}-qubit gate but the "
@@ -202,13 +214,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         out_dir=out_dir,
         echo=echo,
     )
-    # Fail here, not mid-run, if the physical parameters are unbuildable.
-    try:
-        build_system(cfg)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    build_system(cfg)  # fail here, not mid-run, if the physics is unbuildable
     return cfg
 
 
@@ -324,20 +330,26 @@ def _build_qubit(spec: dict, n_levels: int) -> QubitLevels:
 
 
 def build_system(cfg: ExperimentConfig, n_sim_levels: int | None = None) -> CoupledSystem:
-    """Materialize the CoupledSystem, optionally at a wider truncation."""
+    """Materialize the CoupledSystem, optionally at a wider truncation.
+
+    Parameters the physics rejects raise ConfigError.
+    """
     n_sim = cfg.n_sim_levels if n_sim_levels is None else n_sim_levels
     if n_sim < cfg.n_levels:
         raise ConfigError("n_sim_levels must be >= n_levels")
-    qubits = [_build_qubit(spec, n_sim) for spec in cfg.qubit_specs]
-    channels = [
-        ControlChannel(qubit=q, axis=axis, tip_angle=tip)
-        for q, axis, tip in cfg.channels
-    ]
-    return assemble(
-        qubits,
-        n_levels=cfg.n_levels,
-        n_sim_levels=n_sim,
-        j_coupling=cfg.j_ghz * GHZ,
-        channels=channels,
-        clock_period=cfg.clock_period,
-    )
+    try:
+        qubits = [_build_qubit(spec, n_sim) for spec in cfg.qubit_specs]
+        channels = [
+            ControlChannel(qubit=q, axis=axis, tip_angle=tip)
+            for q, axis, tip in cfg.channels
+        ]
+        return assemble(
+            qubits,
+            n_levels=cfg.n_levels,
+            n_sim_levels=n_sim,
+            j_coupling=cfg.j_ghz * GHZ,
+            channels=channels,
+            clock_period=cfg.clock_period,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc

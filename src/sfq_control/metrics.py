@@ -38,20 +38,13 @@ def _check_block(block: np.ndarray, target: GateTarget) -> np.ndarray:
     return a
 
 
-def _f1_from_block(a: np.ndarray, target: np.ndarray) -> float:
-    d = a.shape[0]
-    gamma = float(np.sum(np.abs(a) ** 2))
-    tr = np.sum(np.conj(target) * a)
-    return float((gamma + abs(tr) ** 2) / (d * (d + 1)))
-
-
 def avg_fidelity_f1(block: np.ndarray, target: GateTarget) -> float:
     """Average gate fidelity of the computational block A vs the target.
 
     (||A||_F^2 + |tr(T^dag A)|^2) / (d^2 + d); insensitive to global phase,
     equals 1 iff A == e^{i phi} T.
     """
-    return _f1_from_block(_check_block(block, target), target.matrix)
+    return float(_f1_batch(_check_block(block, target)[None], target.matrix)[0])
 
 
 def rz_fidelity_f2(
@@ -65,7 +58,7 @@ def rz_fidelity_f2(
     one is maximized on a coarse grid refined by golden-section steps.
     """
     a = _check_block(block, target)[None, :, :]
-    f2, angles = _f2_batch(a, target.matrix, return_angles=True)
+    f2, angles = _f2_batch(a, target.matrix)
     return float(f2[0]), tuple(float(x) for x in angles[0])
 
 
@@ -75,16 +68,15 @@ def _row_overlaps(a: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def _f1_batch(a: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The one F1 formula, on blocks a (B, d, d)."""
     d = target.shape[0]
     gamma = np.sum(np.abs(a) ** 2, axis=(1, 2))
     tr = _row_overlaps(a, target).sum(axis=1)
     return (gamma + np.abs(tr) ** 2) / (d * (d + 1))
 
 
-def _f2_batch(
-    a: np.ndarray, target: np.ndarray, return_angles: bool = False
-):
-    """Batched F2 over blocks a (B, d, d); d in (2, 4).
+def _f2_batch(a: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched F2 over blocks a (B, d, d), d in (2, 4), and its Z angles.
 
     For one qubit the supremum is closed-form.  For two, with
     D = diag(1, y, x, xy), tr(T^dag D A) = (w0 + w1 y) + x (w2 + w3 y);
@@ -96,33 +88,25 @@ def _f2_batch(
     w = _row_overlaps(a, target)
     if d == 2:
         g = np.abs(w[:, 0]) + np.abs(w[:, 1])
-        f2 = (gamma + g**2) / (d * (d + 1))
-        if not return_angles:
-            return f2
-        theta = np.angle(w[:, 0]) - np.angle(w[:, 1])
-        return f2, np.stack([theta], axis=1)
+        angles = [np.angle(w[:, 0]) - np.angle(w[:, 1])]
+    else:
+        def g_of(theta: np.ndarray) -> np.ndarray:
+            # theta: (B, K) angles of y per batch element
+            y = np.exp(1j * theta)
+            return np.abs(w[:, 0, None] + w[:, 1, None] * y) + np.abs(
+                w[:, 2, None] + w[:, 3, None] * y
+            )
 
-    def g_of(theta: np.ndarray) -> np.ndarray:
-        # theta: (B, K) angles of y per batch element
-        y = np.exp(1j * theta)
-        return np.abs(w[:, 0, None] + w[:, 1, None] * y) + np.abs(
-            w[:, 2, None] + w[:, 3, None] * y
-        )
-
-    grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    vals = g_of(np.broadcast_to(grid, (a.shape[0], grid.size)))
-    j = np.argmax(vals, axis=1)
-    step = grid[1] - grid[0]
-    lo = grid[j] - step
-    hi = grid[j] + step
-    theta1 = _golden_max(g_of, lo, hi)
-    g = g_of(theta1[:, None])[:, 0]
-    f2 = (gamma + g**2) / (d * (d + 1))
-    if not return_angles:
-        return f2
-    y = np.exp(1j * theta1)
-    theta0 = np.angle(w[:, 0] + w[:, 1] * y) - np.angle(w[:, 2] + w[:, 3] * y)
-    return f2, np.stack([theta0, theta1], axis=1)
+        grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        vals = g_of(np.broadcast_to(grid, (a.shape[0], grid.size)))
+        j = np.argmax(vals, axis=1)
+        step = grid[1] - grid[0]
+        theta1 = _golden_max(g_of, grid[j] - step, grid[j] + step)
+        g = g_of(theta1[:, None])[:, 0]
+        y = np.exp(1j * theta1)
+        theta0 = np.angle(w[:, 0] + w[:, 1] * y) - np.angle(w[:, 2] + w[:, 3] * y)
+        angles = [theta0, theta1]
+    return (gamma + g**2) / (d * (d + 1)), np.stack(angles, axis=1)
 
 
 def _golden_max(f, lo: np.ndarray, hi: np.ndarray, iters: int = 48) -> np.ndarray:
@@ -167,10 +151,7 @@ def agreement_f1(a_block: np.ndarray, b_block: np.ndarray) -> float:
     if a_block.shape != b_block.shape or a_block.shape[0] != a_block.shape[1]:
         raise ValueError("blocks must be square and congruent")
     p = a_block.conj().T @ b_block
-    d = p.shape[0]
-    return float(
-        (np.sum(np.abs(p) ** 2) + abs(np.trace(p)) ** 2) / (d * (d + 1))
-    )
+    return float(_f1_batch(p[None], np.eye(len(p)))[0])
 
 
 @dataclass(frozen=True)

@@ -87,15 +87,18 @@ class PulseSchedule:
 
     @classmethod
     def from_bitstrings(cls, rows: list[str]) -> "PulseSchedule":
+        """Decode one '0'/'1' text row per channel; ValueError if malformed."""
         if not rows:
             raise ValueError("need at least one channel row")
         if len({len(r) for r in rows}) != 1:
             raise ValueError("all channels must have the same number of cycles")
-        bits = np.array([[int(ch) for ch in row] for row in rows], dtype=np.uint8)
-        return cls(bits)
+        text = "".join(rows).encode("ascii")  # UnicodeEncodeError is a ValueError
+        bits = np.frombuffer(text, dtype=np.uint8) - ord("0")
+        return cls(bits.reshape(len(rows), len(rows[0])))
 
     def bitstrings(self) -> list[str]:
-        return ["".join("1" if b else "0" for b in row) for row in self.bits]
+        """One '0'/'1' text row per channel (inverse of from_bitstrings)."""
+        return [(row + ord("0")).tobytes().decode("ascii") for row in self.bits]
 
     def masks(self) -> np.ndarray:
         """Per-cycle channel mask (bit c set when channel c fires)."""
@@ -241,17 +244,13 @@ def evolve_projected(
     return EvolutionResult(matrix=m, norm_loss=norm_loss)
 
 
-def evolve_full(
-    cycles: CycleUnitarySet, schedule: PulseSchedule, rest_frame: bool = True
-) -> np.ndarray:
-    """Unprojected evolution on the full simulation space (unitary)."""
+def evolve_full(cycles: CycleUnitarySet, schedule: PulseSchedule) -> np.ndarray:
+    """Unprojected rest-frame evolution on the full simulation space (unitary)."""
     system = cycles.system
     _check_schedule(system, schedule)
     u = chain(cycles.combos, schedule.masks(), np.eye(system.dim_sim, dtype=complex))
-    if rest_frame:
-        total_time = schedule.num_cycles * system.clock_period
-        u = _frame_phases(system, total_time)[:, None] * u
-    return u
+    total_time = schedule.num_cycles * system.clock_period
+    return _frame_phases(system, total_time)[:, None] * u
 
 
 # -- continuous-pulse reference -----------------------------------------------
@@ -261,6 +260,8 @@ _CF4_NODE = np.sqrt(3.0) / 6.0
 _CF4_W1 = 0.25 + np.sqrt(3.0) / 6.0
 _CF4_W2 = 0.25 - np.sqrt(3.0) / 6.0
 _PULSE_CUTOFF_SIGMAS = 8.0
+# Max-abs change allowed when the substep count is doubled.
+_CONVERGENCE_TOL = 1e-6
 
 
 def reference_integrate(
@@ -268,8 +269,6 @@ def reference_integrate(
     schedule: PulseSchedule,
     pulse_width: float = 0.25e-12,
     substeps_per_cycle: int = 64,
-    check_convergence: bool = True,
-    convergence_tol: float = 1e-6,
 ) -> np.ndarray:
     """Integrate the same schedule with finite-width Gaussian pulses.
 
@@ -278,7 +277,7 @@ def reference_integrate(
     so its support stays inside the run).  The propagator is built with a
     commutator-free fourth-order Magnus scheme; substeps away from any pulse
     reuse the static propagator.  The whole integration is repeated at double
-    resolution and the two results must agree to ``convergence_tol``
+    resolution and the two results must agree to ``_CONVERGENCE_TOL``
     (max-abs), else ConvergenceError.
 
     Returns the rest-frame unitary at the final time, like evolve_full.
@@ -292,10 +291,10 @@ def reference_integrate(
     coarse = _cf4_run(system, schedule, pulse_width, substeps_per_cycle)
     fine = _cf4_run(system, schedule, pulse_width, 2 * substeps_per_cycle)
     diff = float(np.max(np.abs(fine - coarse))) if coarse.size else 0.0
-    if check_convergence and diff > convergence_tol:
+    if diff > _CONVERGENCE_TOL:
         raise ConvergenceError(
             f"substep doubling moved the propagator by {diff:.3e} "
-            f"(> {convergence_tol:.1e}); raise substeps_per_cycle"
+            f"(> {_CONVERGENCE_TOL:.1e}); raise substeps_per_cycle"
         )
     total_time = schedule.num_cycles * system.clock_period
     return _frame_phases(system, total_time)[:, None] * fine
@@ -403,14 +402,20 @@ def write_bitstreams(
 
 
 def read_bitstreams(path) -> tuple[PulseSchedule, list[str], float]:
-    """Parse the exchange format back; returns (schedule, keys, clock_ps)."""
+    """Parse the exchange format back; returns (schedule, keys, clock_ps).
+
+    OSError if the file cannot be opened; any malformed content raises
+    BitstreamFormatError.
+    """
     with open(path, "r", encoding="ascii") as fh:
-        raw = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        try:
+            raw = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        except UnicodeDecodeError as exc:
+            raise BitstreamFormatError(f"file is not ASCII text: {exc}") from exc
     keys: list[str] = []
     rows: list[str] = []
     clocks: set[float] = set()
-    i = 0
-    while i < len(raw):
+    for i in range(0, len(raw), 2):
         header = raw[i]
         if not header.startswith("# "):
             raise BitstreamFormatError(f"expected channel header, got {header!r}")
@@ -420,25 +425,29 @@ def read_bitstreams(path) -> tuple[PulseSchedule, list[str], float]:
         try:
             key = fields["channel"]
             cycles = int(fields["cycles"])
-            clocks.add(float(fields["clock_ps"]))
+            clock = float(fields["clock_ps"])
         except (KeyError, ValueError) as exc:
             raise BitstreamFormatError(f"bad header {header!r}: {exc}") from exc
+        if not np.isfinite(clock) or clock <= 0:
+            raise BitstreamFormatError(f"channel {key}: clock_ps must be a positive number")
         if i + 1 >= len(raw):
             raise BitstreamFormatError(f"missing bit row for channel {key}")
         row = raw[i + 1].strip()
-        if set(row) - {"0", "1"}:
-            raise BitstreamFormatError(f"non-binary characters in channel {key}")
         if len(row) != cycles:
             raise BitstreamFormatError(
                 f"channel {key}: header says {cycles} cycles, row has {len(row)}"
             )
         keys.append(key)
         rows.append(row)
-        i += 2
+        clocks.add(clock)
     if not keys:
         raise BitstreamFormatError("no channels in file")
     if len(set(keys)) != len(keys):
         raise BitstreamFormatError("duplicate channel keys")
     if len(clocks) != 1:
         raise BitstreamFormatError("inconsistent clock_ps across channels")
-    return PulseSchedule.from_bitstrings(rows), keys, clocks.pop()
+    try:
+        schedule = PulseSchedule.from_bitstrings(rows)
+    except ValueError as exc:
+        raise BitstreamFormatError(f"bad bit rows: {exc}") from exc
+    return schedule, keys, clocks.pop()

@@ -9,14 +9,12 @@ Floats are written with repr and parse back to the identical float64.
 from __future__ import annotations
 
 from configparser import ConfigParser
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass, field, fields
 
 from . import __version__
 from .config import ExperimentConfig, build_system
 from .files import atomic_open
-from .metrics import FidelityBreakdown, gate_breakdown
+from .metrics import avg_leakage, gate_breakdown
 from .propagate import PulseSchedule, evolve_full, precompute
 from .search import SearchResult, evaluate_fitness
 
@@ -57,7 +55,6 @@ def evaluate_gate(
     schedule: PulseSchedule,
     command: str = "evaluate",
     search: SearchResult | None = None,
-    seed: int | None = None,
 ) -> GateReport:
     """Compute the full report for one schedule under one config.
 
@@ -69,7 +66,7 @@ def evaluate_gate(
     target = cfg.target()
     cycles = precompute(system)
     breakdown = evaluate_fitness(cycles, schedule, target, cfg.ga.metric)
-    leak = gate_breakdown(evolve_full(cycles, schedule), system, target).leakage
+    leak = avg_leakage(evolve_full(cycles, schedule), system)
 
     wide_system = build_system(cfg, n_sim_levels=cfg.n_sim_levels + 2)
     wide_cycles = precompute(wide_system)
@@ -80,7 +77,7 @@ def evaluate_gate(
     return GateReport(
         command=command,
         engine_version=__version__,
-        seed=cfg.ga.seed if seed is None else seed,
+        seed=cfg.ga.seed,
         metric=cfg.ga.metric,
         target_name=cfg.target_name,
         num_cycles=schedule.num_cycles,
@@ -92,7 +89,7 @@ def evaluate_gate(
         error=1.0 - fitness,
         f1=breakdown.f1,
         f2=breakdown.f2,
-        leakage=float(leak),
+        leakage=leak,
         norm_loss=breakdown.norm_loss,
         z_angles=breakdown.z_angles,
         f1_wide=wide.f1,
@@ -106,33 +103,18 @@ def evaluate_gate(
     )
 
 
-_FLOAT_FIELDS = (
-    "fitness",
-    "error",
-    "f1",
-    "f2",
-    "leakage",
-    "norm_loss",
-    "f1_wide",
-    "f2_wide",
-    "leakage_wide",
-    "wall_time_s",
-    "time_ns",
-    "clock_ps",
-)
-_INT_FIELDS = ("seed", "num_cycles", "n_levels", "n_sim_levels", "iterations")
-_STR_FIELDS = ("command", "engine_version", "metric", "target_name", "terminated_by")
+# The scalar [run] keys, in field order, with the type each parses back to.
+_KINDS = {"str": str, "int": int, "float": float}
+_SCALARS = [(f.name, _KINDS[f.type]) for f in fields(GateReport) if f.type in _KINDS]
 
 
 def write_report(path, report: GateReport) -> None:
     cp = ConfigParser()
-    run = {}
-    for name in _STR_FIELDS:
-        run[name] = getattr(report, name)
-    for name in _INT_FIELDS:
-        run[name] = str(getattr(report, name))
-    for name in _FLOAT_FIELDS:
-        run[name] = repr(float(getattr(report, name)))
+    run = {
+        name: repr(float(getattr(report, name))) if kind is float
+        else str(getattr(report, name))
+        for name, kind in _SCALARS
+    }
     run["z_angles"] = ",".join(repr(float(a)) for a in report.z_angles)
     cp["run"] = run
     cp["config"] = {
@@ -153,13 +135,7 @@ def read_report(path) -> GateReport:
     with open(path, "r", encoding="ascii") as fh:
         cp.read_file(fh)
     run = cp["run"]
-    kwargs: dict = {}
-    for name in _STR_FIELDS:
-        kwargs[name] = run[name]
-    for name in _INT_FIELDS:
-        kwargs[name] = int(run[name])
-    for name in _FLOAT_FIELDS:
-        kwargs[name] = float(run[name])
+    kwargs: dict = {name: kind(run[name]) for name, kind in _SCALARS}
     angles = run["z_angles"]
     kwargs["z_angles"] = (
         tuple(float(a) for a in angles.split(",")) if angles else ()

@@ -22,6 +22,7 @@ from .metrics import FidelityBreakdown, _f1_batch, _f2_batch, projected_breakdow
 from .propagate import (
     CycleUnitarySet,
     PulseSchedule,
+    _frame_phases,
     chain_bits,
     evolve_projected,
     precompute,
@@ -145,21 +146,20 @@ class _FitnessEngine:
     Identical math to evolve_projected (the projector sandwich telescopes to
     a product of learning-block matrices), chained k cycles per product from
     word tables built once per engine; products associate differently, so
-    scores differ from the canonical path by rounding only.  The final
-    reported numbers always come from the canonical scalar path.
+    scores differ from the canonical path by rounding only.  A score that
+    reaches the target is replaced by the canonical one before it is kept
+    (``final``), so the search stops on canonical scores only.
     """
 
     def __init__(
-        self, system: CoupledSystem, target: GateTarget, num_cycles: int, metric: str
+        self, system: CoupledSystem, target: GateTarget, num_cycles: int, config: GaConfig
     ) -> None:
         self.target = target
-        self.metric = metric
+        self.config = config
         self.cycles = precompute(system)
         self.comp = system.comp_indices
-        total_time = num_cycles * system.clock_period
-        self.frame = np.exp(
-            1j * system.bare_energies[system.learn_indices] * total_time
-        )[self.comp]
+        phases = _frame_phases(system, num_cycles * system.clock_period)
+        self.frame = phases[system.learn_indices][self.comp]
         self.start = np.zeros((system.dim_learn, system.dim_comp), dtype=complex)
         self.start[self.comp, np.arange(system.dim_comp)] = 1.0
         nch = len(system.channels)
@@ -175,17 +175,36 @@ class _FitnessEngine:
         start = np.broadcast_to(self.start, (len(bits), *self.start.shape))
         m = chain_bits(self.tables, bits, start)
         a = m[:, self.comp, :] * self.frame[None, :, None]
-        if self.metric == "f1":
+        if self.config.metric == "f1":
             return _f1_batch(a, self.target.matrix)
-        return _f2_batch(a, self.target.matrix)
+        return _f2_batch(a, self.target.matrix)[0]
+
+    def final(self, bits: np.ndarray, scores: np.ndarray) -> np.ndarray:
+        """Make batch scores of bits final, in place: every score that
+        reaches the target becomes the canonical one (once per distinct
+        bits).  ValueError if a score is not finite."""
+        if not np.all(np.isfinite(scores)):
+            raise ValueError("batch fitness is not finite")
+        canonical: dict[bytes, float] = {}
+        for i in np.flatnonzero(scores >= self.config.target_fidelity):
+            key = bits[i].tobytes()
+            if key not in canonical:
+                bd = evaluate_fitness(
+                    self.cycles, PulseSchedule(bits[i]), self.target, self.config.metric
+                )
+                canonical[key] = bd.value(self.config.metric)
+            scores[i] = canonical[key]
+        return scores
 
     def fitness(self, bits: np.ndarray) -> np.ndarray:
-        """Batch fitness with a de-duplication cache keyed by raw bits."""
-        keys = [row.tobytes() for row in bits]
+        """Final batch fitness with a de-duplication cache keyed by the
+        packed bits."""
+        packed = np.packbits(bits.reshape(len(bits), -1), axis=1)
+        keys = [row.tobytes() for row in packed]
         out = np.array([self.cache.get(key, np.nan) for key in keys])
         todo = np.flatnonzero(np.isnan(out))
         if todo.size:
-            out[todo] = self._fitness_batch(bits[todo])
+            out[todo] = self.final(bits[todo], self._fitness_batch(bits[todo]))
             self.n_evaluations += todo.size
             if len(self.cache) + todo.size > self.cache_cap:
                 self.cache.clear()
@@ -241,9 +260,8 @@ def write_checkpoint(
     pop = {}
     for i in range(population.shape[0]):
         pop[f"fitness_{i}"] = float(fitness[i]).hex()
-        for c in range(population.shape[1]):
-            row = population[i, c]
-            pop[f"bits_{i}_{c}"] = "".join("1" if x else "0" for x in row)
+        for c, row in enumerate(PulseSchedule(population[i]).bitstrings()):
+            pop[f"bits_{i}_{c}"] = row
     cp["population"] = pop
     with atomic_open(path) as fh:
         cp.write(fh)
@@ -284,11 +302,10 @@ def _parse_checkpoint(cp: ConfigParser) -> dict:
     sect = cp["population"]
     for i in range(p):
         fitness[i] = float.fromhex(sect[f"fitness_{i}"])
-        for c in range(nch):
-            row = sect[f"bits_{i}_{c}"]
-            if len(row) != n or set(row) - {"0", "1"}:
-                raise CheckpointError(f"checkpoint bit row {i}/{c} is malformed")
-            population[i, c] = np.frombuffer(row.encode(), dtype=np.uint8) - ord("0")
+        rows = [sect[f"bits_{i}_{c}"] for c in range(nch)]
+        if any(len(row) != n for row in rows):
+            raise CheckpointError(f"checkpoint bit rows of individual {i} are malformed")
+        population[i] = PulseSchedule.from_bitstrings(rows).bits
     ga = cp["ga"]
     config = GaConfig(**{f.name: type(f.default)(ga[f.name]) for f in fields(GaConfig)})
     return {
@@ -340,7 +357,7 @@ def run_ga(
     if not system.channels:
         raise ValueError("search needs at least one control channel")
 
-    engine = _FitnessEngine(system, target, num_cycles, config.metric)
+    engine = _FitnessEngine(system, target, num_cycles, config)
     fingerprint = _fingerprint(system, target, num_cycles)
     nch = len(system.channels)
     p, s = config.population_size, config.selection_size
@@ -350,7 +367,7 @@ def run_ga(
     if resume_from is not None:
         state = load_checkpoint(resume_from, system, target, num_cycles, config)
         population = state["population"]
-        fitness = state["fitness"]
+        fitness = engine.final(population, state["fitness"])
         rng.bit_generator.state = state["rng_state"]
         start_iter = state["iteration"]
     else:
@@ -360,10 +377,6 @@ def run_ga(
     t0 = time.perf_counter()
     history: list[float] = []
     rank_weights = np.arange(p, 0, -1, dtype=float)  # best gets p, worst gets 1
-
-    def canonical(i: int) -> FidelityBreakdown:
-        schedule = PulseSchedule(population[i])
-        return evaluate_fitness(engine.cycles, schedule, target, config.metric)
 
     def save() -> None:
         write_checkpoint(
@@ -376,27 +389,10 @@ def run_ga(
             config=config,
         )
 
-    def check_best() -> tuple[int, FidelityBreakdown | None]:
-        """The best individual, and its canonical breakdown if it reached
-        the target.  Batch scores that pass the target are re-scored on the
-        canonical path and written back over every copy, so a pass by batch
-        rounding alone is checked once, not every iteration."""
-        best_idx = int(np.argmax(fitness))
-        while fitness[best_idx] >= config.target_fidelity:
-            bd = canonical(best_idx)
-            value = bd.value(config.metric)
-            bits = population[best_idx]
-            fitness[np.all(population == bits, axis=(1, 2))] = value
-            engine.cache[bits.tobytes()] = value
-            if value >= config.target_fidelity:
-                return best_idx, bd
-            best_idx = int(np.argmax(fitness))
-        return best_idx, None
-
     iteration = start_iter
     periodic = checkpoint_path is not None and checkpoint_every > 0
-    best_idx, breakdown = check_best()
-    while breakdown is None and iteration < config.max_iterations:
+    # Scores at or above the target are canonical (_FitnessEngine.final).
+    while fitness.max() < config.target_fidelity and iteration < config.max_iterations:
         iteration += 1
         order_desc = np.argsort(-fitness, kind="stable")
         weights = np.empty(p)
@@ -424,15 +420,16 @@ def run_ga(
             if w >= p:
                 break
 
-        best_idx, breakdown = check_best()
-        history.append(float(fitness[best_idx]))
+        history.append(float(fitness.max()))
 
         if periodic and iteration % checkpoint_every == 0:
             save()
 
-    terminated_by = "max_iterations" if breakdown is None else "target_reached"
-    if breakdown is None:
-        breakdown = canonical(best_idx)
+    best_idx = int(np.argmax(fitness))
+    reached = fitness[best_idx] >= config.target_fidelity
+    breakdown = evaluate_fitness(
+        engine.cycles, PulseSchedule(population[best_idx]), target, config.metric
+    )
     if checkpoint_path is not None:
         save()
     wall = time.perf_counter() - t0
@@ -445,7 +442,7 @@ def run_ga(
         breakdown=breakdown,
         iterations_used=iteration,
         wall_time_s=wall,
-        terminated_by=terminated_by,
+        terminated_by="target_reached" if reached else "max_iterations",
         history=np.asarray(history),
         n_evaluations=engine.n_evaluations,
     )

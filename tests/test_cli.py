@@ -327,14 +327,25 @@ class TestSweep:
             )
         assert not (out / "sweep.csv").exists()
 
-    def test_bad_point_rejected_before_any_search(self, fast_config, tmp_path):
+    def test_bad_point_rejected_before_any_search(self, fast_config, tmp_path, capsys):
         out = tmp_path / "sweep"
-        code = cli.main(
-            ["sweep", "--config", str(fast_config), "--out-dir", str(out),
-             "--param", "gate_time_ns", "--values", "0.32,0.001"]
-        )
-        assert code == 2
-        assert not out.exists()
+        for param, values in [
+            ("gate_time_ns", "0.32,0.001"),  # under one clock cycle
+            ("gate_time_ns", "0.32,0.101"),  # off the 8 ps clock grid
+            ("gate_time_ns", "0.32,nan"),
+            ("gate_time_ns", "inf"),
+            ("tip_angle", "0.03,0"),  # rejected by ControlChannel
+            ("tip_angle", "nan"),
+        ]:
+            capsys.readouterr()
+            code = cli.main(
+                ["sweep", "--config", str(fast_config), "--out-dir", str(out),
+                 "--param", param, "--values", values]
+            )
+            assert code == 2, values
+            assert not out.exists()
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_bad_values_string(self, fast_config, tmp_path):
         assert cli.main(

@@ -154,7 +154,7 @@ class TestF2:
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(6)
         a = rng.normal(size=(7, 4, 4)) + 1j * rng.normal(size=(7, 4, 4))
-        batch = _f2_batch(a, lookup_target("CZ").matrix)
+        batch, _ = _f2_batch(a, lookup_target("CZ").matrix)
         for i in range(7):
             scalar, _ = score_f2(a[i], "CZ")
             assert batch[i] == pytest.approx(scalar, abs=1e-12)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sfq_control as sc
 from conftest import GHZ, make_pair_system
@@ -245,11 +247,17 @@ class TestBitstreamFiles:
             "# channel=0:x cycles=2 clock_ps=8.0\n01\n"
             "# channel=1:x cycles=2 clock_ps=9.0\n10\n",  # clock mismatch
             "",  # empty
+            b"# channel=0:x cycles=2 clock_ps=8.0\n0\xff\n",  # non-ASCII byte
+            "# channel=0:x cycles=2 clock_ps=8.0\n01\n"
+            "# channel=1:x cycles=3 clock_ps=8.0\n101\n",  # unequal channels
+            "# channel=0:x cycles=2 clock_ps=nan\n01\n",  # clock not finite
+            "# channel=0:x cycles=2 clock_ps=inf\n01\n",
+            "# channel=0:x cycles=2 clock_ps=-8.0\n01\n",  # clock not positive
         ],
     )
     def test_malformed_files_rejected(self, tmp_path, content):
         path = tmp_path / "bad.txt"
-        path.write_text(content)
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
         with pytest.raises(BitstreamFormatError):
             sc.read_bitstreams(path)
 
@@ -258,3 +266,41 @@ class TestBitstreamFiles:
             sc.write_bitstreams(
                 tmp_path / "x.txt", sc.PulseSchedule.zeros(2, 3), ["0:x"], 8.0
             )
+
+
+def _valid_bitstream_file() -> bytes:
+    rows = ["0110100111", "1100011010"]
+    return "".join(
+        f"# channel={key} cycles={len(row)} clock_ps=8.0\n{row}\n"
+        for key, row in zip(["0:x", "1:z"], rows)
+    ).encode()
+
+
+@st.composite
+def mutated_files(draw):
+    """A valid two-channel file with a few bytes replaced, cut or inserted."""
+    data = bytearray(_valid_bitstream_file())
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["replace", "delete", "insert"]))
+        chunk = draw(st.binary(min_size=1, max_size=3))
+        if kind == "replace":
+            data[at : at + len(chunk)] = chunk
+        elif kind == "delete":
+            del data[at : at + len(chunk)]
+        else:
+            data[at:at] = chunk
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=st.one_of(st.binary(max_size=200), mutated_files()))
+def test_read_bitstreams_raises_only_format_errors(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "fuzz_bits.txt"
+    path.write_bytes(content)
+    try:
+        schedule, keys, clock = sc.read_bitstreams(path)
+    except BitstreamFormatError:
+        return
+    assert len(keys) == schedule.num_channels
+    assert np.isfinite(clock) and clock > 0

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sfq_control as sc
 from conftest import GHZ, make_pair_system
@@ -127,7 +129,7 @@ class TestBatchEngine:
             rng = np.random.default_rng(12)
             bits = rng.integers(0, 2, size=(8, 2, 40), dtype=np.uint8)
             for metric in ("f1", "f2"):
-                engine = _FitnessEngine(system, target, 40, metric)
+                engine = _FitnessEngine(system, target, 40, GaConfig(metric=metric))
                 batch = engine.fitness(bits)
                 for i in range(8):
                     ref = evaluate_fitness(
@@ -136,7 +138,7 @@ class TestBatchEngine:
                     assert batch[i] == pytest.approx(ref, abs=1e-12), label
 
     def test_cache_skips_repeat_evaluations(self, single_qubit_system):
-        engine = _FitnessEngine(single_qubit_system, lookup_target("X"), 30, "f2")
+        engine = _FitnessEngine(single_qubit_system, lookup_target("X"), 30, GaConfig())
         rng = np.random.default_rng(13)
         bits = rng.integers(0, 2, size=(5, 2, 30), dtype=np.uint8)
         first = engine.fitness(bits)
@@ -144,6 +146,56 @@ class TestBatchEngine:
         second = engine.fitness(bits)
         assert engine.n_evaluations == count
         np.testing.assert_array_equal(first, second)
+
+    def test_cache_keys_are_packed_bits(self, single_qubit_system):
+        # 2 channels x 30 cycles = 60 bits -> 8 bytes per key, not 60
+        engine = _FitnessEngine(single_qubit_system, lookup_target("X"), 30, GaConfig())
+        rng = np.random.default_rng(14)
+        bits = rng.integers(0, 2, size=(4, 2, 30), dtype=np.uint8)
+        repeated = np.concatenate([bits, bits[::-1]])
+        scores = engine.fitness(repeated)
+        assert {len(key) for key in engine.cache} == {8}
+        assert len(engine.cache) == 4
+        np.testing.assert_array_equal(scores[:4], scores[4:][::-1])
+        count = engine.n_evaluations
+        engine.fitness(bits[:1])
+        assert engine.n_evaluations == count
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_batch_score_raises(self, single_qubit_system, monkeypatch, bad):
+        engine = _FitnessEngine(single_qubit_system, lookup_target("X"), 30, GaConfig())
+        monkeypatch.setattr(
+            engine, "_fitness_batch", lambda bits: np.full(len(bits), bad)
+        )
+        bits = np.zeros((2, 2, 30), dtype=np.uint8)
+        with pytest.raises(ValueError, match="not finite"):
+            engine.fitness(bits)
+        assert engine.cache == {}
+
+    def test_target_scores_are_canonical(self, single_qubit_system, monkeypatch):
+        # batch scores at or above the target are replaced by the canonical
+        # score, once per distinct bits; lower ones are kept as they are
+        target = lookup_target("X")
+        cfg = GaConfig(target_fidelity=0.5)
+        engine = _FitnessEngine(single_qubit_system, target, 30, cfg)
+        rng = np.random.default_rng(15)
+        bits = rng.integers(0, 2, size=(3, 2, 30), dtype=np.uint8)
+        bits[2] = bits[0]
+        monkeypatch.setattr(
+            engine, "_fitness_batch", lambda b: np.array([0.9, 0.1, 0.9])
+        )
+        calls = []
+        real_evaluate = search.evaluate_fitness
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(search, "evaluate_fitness", counting)
+        scores = engine.fitness(bits)
+        want = real_evaluate(engine.cycles, PulseSchedule(bits[0]), target, "f2").f2
+        assert scores.tolist() == [want, 0.1, want]
+        assert len(calls) == 1
 
 
 class TestRunGa:
@@ -311,6 +363,26 @@ class TestCheckpoint:
                 resume_from=path,
             )
 
+    def test_resumed_batch_only_pass_is_rescored(
+        self, single_qubit_system, tiny_config, tmp_path
+    ):
+        # An older checkpoint may hold a batch score that passes the target
+        # while the canonical score does not; resuming re-scores it.
+        path = tmp_path / "ck.txt"
+        target = lookup_target("X")
+        run_ga(single_qubit_system, target, 30, replace(tiny_config, max_iterations=5),
+               checkpoint_path=path)
+        cp = ConfigParser()
+        cp.read(path)
+        cp["population"]["fitness_0"] = (1.0).hex()
+        with open(path, "w") as fh:
+            cp.write(fh)
+        longer = replace(tiny_config, max_iterations=8)
+        result = run_ga(single_qubit_system, target, 30, longer, resume_from=path)
+        assert result.terminated_by == "max_iterations"
+        assert result.iterations_used == 8
+        assert np.all(result.history < longer.target_fidelity)
+
     def test_resume_may_extend_budget(self, single_qubit_system, tmp_path):
         path = tmp_path / "ck.txt"
         cfg = GaConfig(
@@ -380,3 +452,38 @@ class TestCheckpoint:
         straight = run_ga(single_qubit_system, target, 30, longer)
         np.testing.assert_array_equal(straight.best.bits, resumed.best.bits)
         np.testing.assert_array_equal(straight.history[10:], resumed.history)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(0, 4), st.integers(1, 3), st.integers(0, 40)),
+    seed=st.integers(0, 2**64 - 1),
+    draws=st.integers(0, 5),
+    iteration=st.integers(0, 10**6),
+    data=st.data(),
+)
+def test_checkpoint_round_trip_property(
+    tmp_path_factory, shape, seed, draws, iteration, data
+):
+    # any population shape (empty ones included), any finite fitness and any
+    # generator state read back equal
+    fitness = np.array(
+        data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=shape[0], max_size=shape[0])),
+        dtype=float,
+    )
+    population = np.random.default_rng(seed).integers(0, 2, size=shape, dtype=np.uint8)
+    rng = np.random.default_rng(seed)
+    rng.random(draws)
+    config = GaConfig(seed=seed % 1000)
+    path = tmp_path_factory.getbasetemp() / "round_trip.txt"
+    write_checkpoint(path, fingerprint="f" * 64, iteration=iteration, rng=rng,
+                     population=population, fitness=fitness, config=config)
+    state = read_checkpoint(path)
+    assert state["fingerprint"] == "f" * 64
+    assert state["iteration"] == iteration
+    assert state["config"] == config
+    assert state["rng_state"] == rng.bit_generator.state
+    assert state["population"].dtype == np.uint8
+    np.testing.assert_array_equal(state["population"], population)
+    assert state["fitness"].tobytes() == fitness.tobytes()

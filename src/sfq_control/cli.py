@@ -118,23 +118,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
-    """The config file with the command's GA flags applied."""
+    """The config file with the command's GA flags applied; GaConfig checks
+    every value."""
     cfg = parse_config(args.config)
-    ga = cfg.ga
-    if getattr(args, "seed", None) is not None:
-        ga = replace(ga, seed=args.seed)
-    if getattr(args, "metric", None) is not None:
-        ga = replace(ga, metric=args.metric)
-    max_iters = getattr(args, "max_iters", None)
-    full_budget = getattr(args, "full_budget", False)
-    if max_iters is not None and full_budget:
-        raise ConfigError("--max-iters and --full-budget are mutually exclusive")
-    if full_budget:
-        ga = replace(ga, max_iterations=FULL_MAX_ITERATIONS)
-    elif max_iters is not None:
-        if max_iters < 1:
-            raise ConfigError("--max-iters must be positive")
-        ga = replace(ga, max_iterations=max_iters)
+    flags = {
+        "seed": getattr(args, "seed", None),
+        "metric": getattr(args, "metric", None),
+        "max_iterations": getattr(args, "max_iters", None),
+    }
+    if getattr(args, "full_budget", False):
+        if flags["max_iterations"] is not None:
+            raise ConfigError("--max-iters and --full-budget are mutually exclusive")
+        flags["max_iterations"] = FULL_MAX_ITERATIONS
+    try:
+        ga = replace(cfg.ga, **{k: v for k, v in flags.items() if v is not None})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return replace(cfg, ga=ga)
 
 
@@ -145,6 +144,8 @@ def _out_dir(args, cfg: ExperimentConfig) -> Path:
 
 def cmd_learn(args) -> int:
     cfg = _load_config(args)
+    if args.checkpoint_every < 0:
+        raise ConfigError("--checkpoint-every must be non-negative")
     out = _out_dir(args, cfg)
     system = build_system(cfg)
     target = cfg.target()
@@ -297,7 +298,7 @@ def cmd_spectrum(args) -> int:
         print("  level frequencies (GHz): "
               + ", ".join(f"{x:.6f}" for x in ghz))
         if system.n_sim_levels >= 3:
-            anh = (q.energies[2] - 2 * q.energies[1]) / GHZ
+            anh = q.anharmonicity() / GHZ
             ratio = q.energies[2] / q.energies[1] - 1.0 if q.energies[1] else 0.0
             print(f"  anharmonicity (GHz): {anh:.6f}  w12/w01 - 1: {ratio:.6f}")
         charges = q.charge[: system.n_sim_levels - 1]
@@ -321,8 +322,8 @@ def cmd_oracle(args) -> int:
     cfg = parse_config(args.config)
     if args.cycles < 1:
         raise ConfigError("--cycles must be positive")
-    if args.pulse_width_ps <= 0:
-        raise ConfigError("--pulse-width-ps must be positive")
+    if args.seed < 0:
+        raise ConfigError("--seed must be non-negative")
     system = build_system(cfg)
     rng = np.random.default_rng(args.seed)
     schedule = PulseSchedule.random(rng, len(system.channels), args.cycles)
@@ -338,6 +339,8 @@ def cmd_oracle(args) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except ValueError as exc:  # --substeps or --pulse-width-ps out of range
+        raise ConfigError(str(exc)) from exc
     agree = agreement_f1(u_delta, u_ref)
     print(f"delta-kick vs finite-width pulses over {args.cycles} cycles "
           f"(tau = {args.pulse_width_ps} ps):")

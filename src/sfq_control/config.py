@@ -35,28 +35,47 @@ __all__ = [
 GHZ = 2.0 * np.pi * 1e9  # linear GHz -> rad/s
 
 # Desk-scale iteration budget used when the config does not pin one; the
-# full-size budget is restored with --full-budget.
+# full-size budget, GaConfig's own default, is restored with --full-budget.
 DESK_MAX_ITERATIONS = 20_000
-FULL_MAX_ITERATIONS = 200_000
+FULL_MAX_ITERATIONS = GaConfig.max_iterations
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 2)."""
 
 
-_QUBIT_KEYS = {
-    "transmon": {"type", "omega01_ghz", "alpha_ghz"},
-    "split_transmon": {"type", "ej1_ghz", "ej2_ghz", "ec_ghz", "phi_e"},
-    "fluxonium": {"type", "ej_ghz", "ec_ghz", "el_ghz", "phi_e", "basis_size"},
+_REQUIRED = object()  # table default of a key that must be given
+_FLOAT = (float, _REQUIRED)
+
+# Every key of the scalar sections as key -> (type, default).  Required
+# keys are required when their section is present: [gate] always is,
+# [coupling] for two qubits, [output] when given.
+_SECTIONS = {
+    "coupling": {"j_ghz": _FLOAT},
+    "gate": {"target": (str, _REQUIRED), "time_ns": _FLOAT, "clock_ps": (float, 8.0)},
+    "learning": {"n_levels": (int, 5), "n_sim_levels": (int, None)},  # None: n_levels + 2
+    "ga": {f.name: (type(f.default), f.default) for f in fields(GaConfig)}
+    | {"max_iterations": (int, DESK_MAX_ITERATIONS)},
+    "output": {"out_dir": (str, _REQUIRED)},
+}
+
+# Each qubit type's level builder and keys.  The float keys are the
+# builder's leading arguments in table order (``_ghz`` keys scaled to
+# rad/s), then n_levels; an int key is a keyword, and when absent the
+# builder's default holds.
+_QUBIT_TYPES = {
+    "transmon": (transmon_levels, {"omega01_ghz": _FLOAT, "alpha_ghz": _FLOAT}),
+    "split_transmon": (
+        split_transmon_levels,
+        {"ej1_ghz": _FLOAT, "ej2_ghz": _FLOAT, "ec_ghz": _FLOAT, "phi_e": _FLOAT},
+    ),
+    "fluxonium": (
+        fluxonium_levels,
+        {"ej_ghz": _FLOAT, "ec_ghz": _FLOAT, "el_ghz": _FLOAT, "phi_e": _FLOAT,
+         "basis_size": (int, None)},
+    ),
 }
 _CHANNEL_KEYS = {"x0", "z0", "x1", "z1"}
-_SECTION_KEYS = {
-    "coupling": {"j_ghz"},
-    "gate": {"target", "time_ns", "clock_ps"},
-    "learning": {"n_levels", "n_sim_levels"},
-    "ga": {f.name for f in fields(GaConfig)},
-    "output": {"out_dir"},
-}
 
 
 @dataclass(frozen=True)
@@ -124,17 +143,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
     except ConfigParserError as exc:
         raise ConfigError(f"config is not valid INI: {exc}") from exc
 
-    known_sections = {"qubit0", "qubit1", "channels", *_SECTION_KEYS}
+    known_sections = {"qubit0", "qubit1", "channels", *_SECTIONS}
     for section in cp.sections():
         if section not in known_sections:
             raise ConfigError(f"unknown section [{section}]")
-
-    if not cp.has_section("qubit0"):
-        raise ConfigError("missing required section [qubit0]")
-    if not cp.has_section("gate"):
-        raise ConfigError("missing required section [gate]")
-    if not cp.has_section("channels"):
-        raise ConfigError("missing required section [channels]")
+    for section in ("qubit0", "gate", "channels"):
+        if not cp.has_section(section):
+            raise ConfigError(f"missing required section [{section}]")
 
     qubit_specs = [_parse_qubit(cp, "qubit0")]
     if cp.has_section("qubit1"):
@@ -145,35 +160,30 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if cp.has_section("coupling"):
         if num_qubits == 1:
             raise ConfigError("[coupling] given but there is only one qubit")
-        _check_keys(cp, "coupling")
-        j_ghz = _get_float(cp, "coupling", "j_ghz")
+        j_ghz = _read(cp, "coupling", _SECTIONS["coupling"])["j_ghz"]
     elif num_qubits == 2:
         raise ConfigError("two qubits need a [coupling] section (j_ghz may be 0)")
 
     channels = _parse_channels(cp, num_qubits)
 
-    _check_keys(cp, "gate")
-    target_name = _get_str(cp, "gate", "target")
-    target = lookup_target_checked(target_name)
-    time_ns = _get_float(cp, "gate", "time_ns")
-    if time_ns <= 0:
+    gate = _read(cp, "gate", _SECTIONS["gate"])
+    try:
+        target = lookup_target(gate["target"])
+    except KeyError as exc:
+        raise ConfigError(str(exc)) from exc
+    if gate["time_ns"] <= 0:
         raise ConfigError("gate time_ns must be positive")
-    clock_ps = _get_float(cp, "gate", "clock_ps", default=8.0)
-    if clock_ps <= 0:
+    if gate["clock_ps"] <= 0:
         raise ConfigError("clock_ps must be positive")
     if target.num_qubits != num_qubits:
         raise ConfigError(
-            f"target {target_name} is a {target.num_qubits}-qubit gate but the "
+            f"target {gate['target']} is a {target.num_qubits}-qubit gate but the "
             f"config defines {num_qubits} qubit(s)"
         )
 
-    n_levels = 5
-    n_sim_levels = None
-    if cp.has_section("learning"):
-        _check_keys(cp, "learning")
-        n_levels = _get_int(cp, "learning", "n_levels", default=5)
-        if cp.has_option("learning", "n_sim_levels"):
-            n_sim_levels = _get_int(cp, "learning", "n_sim_levels")
+    learning = _read(cp, "learning", _SECTIONS["learning"])
+    n_levels = learning["n_levels"]
+    n_sim_levels = learning["n_sim_levels"]
     if n_sim_levels is None:
         n_sim_levels = n_levels + 2
     if n_levels < 2:
@@ -181,15 +191,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if n_sim_levels < n_levels:
         raise ConfigError("n_sim_levels must be >= n_levels")
 
-    ga_kwargs: dict = {"max_iterations": DESK_MAX_ITERATIONS}
-    if cp.has_section("ga"):
-        _check_keys(cp, "ga")
-        getters = {int: _get_int, float: _get_float, str: _get_str}
-        for f in fields(GaConfig):
-            if cp.has_option("ga", f.name):
-                ga_kwargs[f.name] = getters[type(f.default)](cp, "ga", f.name)
-        if "metric" in ga_kwargs:
-            ga_kwargs["metric"] = ga_kwargs["metric"].lower()
+    ga_kwargs = _read(cp, "ga", _SECTIONS["ga"])
+    ga_kwargs["metric"] = ga_kwargs["metric"].lower()
     try:
         ga = GaConfig(**ga_kwargs)
     except ValueError as exc:
@@ -197,8 +200,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     out_dir = None
     if cp.has_section("output"):
-        _check_keys(cp, "output")
-        out_dir = _get_str(cp, "output", "out_dir")
+        out_dir = _read(cp, "output", _SECTIONS["output"])["out_dir"]
 
     echo = {s: dict(cp.items(s)) for s in cp.sections()}
     cfg = ExperimentConfig(
@@ -206,8 +208,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
         j_ghz=j_ghz,
         channels=channels,
         target_name=target.name,
-        time_ns=time_ns,
-        clock_ps=clock_ps,
+        time_ns=gate["time_ns"],
+        clock_ps=gate["clock_ps"],
         n_levels=n_levels,
         n_sim_levels=n_sim_levels,
         ga=ga,
@@ -218,32 +220,19 @@ def parse_config_text(text: str) -> ExperimentConfig:
     return cfg
 
 
-def lookup_target_checked(name: str) -> GateTarget:
-    try:
-        return lookup_target(name)
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _parse_qubit(cp: ConfigParser, section: str) -> dict:
     if not cp.has_option(section, "type"):
         raise ConfigError(f"[{section}] needs a type key")
     qtype = cp.get(section, "type").strip().lower()
-    if qtype not in _QUBIT_KEYS:
+    if qtype not in _QUBIT_TYPES:
         raise ConfigError(
             f"[{section}] unknown qubit type {qtype!r}; "
-            f"known: {sorted(_QUBIT_KEYS)}"
+            f"known: {sorted(_QUBIT_TYPES)}"
         )
-    allowed = _QUBIT_KEYS[qtype]
-    for key in cp.options(section):
-        if key not in allowed:
-            raise ConfigError(f"[{section}] unknown key {key!r} for type {qtype}")
-    spec: dict = {"type": qtype}
-    for key in allowed - {"type", "basis_size"}:
-        spec[key] = _get_float(cp, section, key)
-    if qtype == "fluxonium" and cp.has_option(section, "basis_size"):
-        spec["basis_size"] = _get_int(cp, section, "basis_size")
-    return spec
+    keys = {"type": (str, _REQUIRED), **_QUBIT_TYPES[qtype][1]}
+    values = _read(cp, section, keys, context=f" for type {qtype}")
+    values["type"] = qtype
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def _parse_channels(
@@ -258,75 +247,48 @@ def _parse_channels(
         axis, qubit = key[0], int(key[1])
         if qubit >= num_qubits:
             raise ConfigError(f"[channels] {key} targets an absent qubit")
-        tip = _get_float(cp, "channels", key)
-        channels.append((qubit, axis, tip))
+        channels.append((qubit, axis, _get(cp, "channels", key, float)))
     if not channels:
         raise ConfigError("[channels] must define at least one channel")
     channels.sort(key=lambda c: (c[0], c[1]))
     return tuple(channels)
 
 
-def _check_keys(cp: ConfigParser, section: str) -> None:
-    for key in cp.options(section):
-        if key not in _SECTION_KEYS[section]:
-            raise ConfigError(f"[{section}] unknown key {key!r}")
+def _read(cp: ConfigParser, section: str, keys: dict, context: str = "") -> dict:
+    """Every key of the table ``keys`` read from section, defaults filled
+    in; a key the table does not declare is rejected."""
+    for key in cp.options(section) if cp.has_section(section) else ():
+        if key not in keys:
+            raise ConfigError(f"[{section}] unknown key {key!r}{context}")
+    return {key: _get(cp, section, key, kind, default)
+            for key, (kind, default) in keys.items()}
 
 
-def _get_str(cp: ConfigParser, section: str, key: str) -> str:
+def _get(cp: ConfigParser, section: str, key: str, kind: type, default=_REQUIRED):
+    """One value of type kind (str, int or float, which must be finite)."""
     if not cp.has_option(section, key):
-        raise ConfigError(f"[{section}] missing required key {key!r}")
-    return cp.get(section, key).strip()
-
-
-def _get_float(cp: ConfigParser, section: str, key: str, default=None) -> float:
-    if not cp.has_option(section, key):
-        if default is not None:
-            return default
-        raise ConfigError(f"[{section}] missing required key {key!r}")
+        if default is _REQUIRED:
+            raise ConfigError(f"[{section}] missing required key {key!r}")
+        return default
     raw = cp.get(section, key)
+    if kind is str:
+        return raw.strip()
     try:
-        value = float(raw)
+        value = kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
-    if not np.isfinite(value):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not {noun}") from exc
+    if kind is float and not np.isfinite(value):
         raise ConfigError(f"[{section}] {key} must be finite")
     return value
 
 
-def _get_int(cp: ConfigParser, section: str, key: str, default=None) -> int:
-    if not cp.has_option(section, key):
-        if default is not None:
-            return default
-        raise ConfigError(f"[{section}] missing required key {key!r}")
-    raw = cp.get(section, key)
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from exc
-
-
 def _build_qubit(spec: dict, n_levels: int) -> QubitLevels:
-    qtype = spec["type"]
-    if qtype == "transmon":
-        return transmon_levels(
-            spec["omega01_ghz"] * GHZ, spec["alpha_ghz"] * GHZ, n_levels
-        )
-    if qtype == "split_transmon":
-        return split_transmon_levels(
-            spec["ej1_ghz"] * GHZ,
-            spec["ej2_ghz"] * GHZ,
-            spec["ec_ghz"] * GHZ,
-            spec["phi_e"],
-            n_levels,
-        )
-    return fluxonium_levels(
-        spec["ej_ghz"] * GHZ,
-        spec["ec_ghz"] * GHZ,
-        spec["el_ghz"] * GHZ,
-        spec["phi_e"],
-        n_levels,
-        basis_size=spec.get("basis_size", 60),
-    )
+    builder, keys = _QUBIT_TYPES[spec["type"]]
+    args = [spec[k] * GHZ if k.endswith("_ghz") else spec[k]
+            for k, (kind, _) in keys.items() if kind is float]
+    options = {k: spec[k] for k, (kind, _) in keys.items() if kind is int and k in spec}
+    return builder(*args, n_levels, **options)
 
 
 def build_system(cfg: ExperimentConfig, n_sim_levels: int | None = None) -> CoupledSystem:

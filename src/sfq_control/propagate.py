@@ -285,7 +285,7 @@ def reference_integrate(
     _check_schedule(system, schedule)
     if substeps_per_cycle < 8:
         raise ValueError("substeps_per_cycle must be at least 8")
-    if pulse_width <= 0 or pulse_width > 0.25 * system.clock_period:
+    if not 0 < pulse_width <= 0.25 * system.clock_period:  # NaN fails too
         raise ValueError("pulse_width must be positive and well under a cycle")
 
     coarse = _cf4_run(system, schedule, pulse_width, substeps_per_cycle)

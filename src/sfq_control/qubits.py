@@ -12,7 +12,7 @@ meaning the same tip angle on every qubit species.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class QubitLevels:
     charge: np.ndarray
     raw_charge_scale: float
     basis_error: float = 0.0
-    label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         e = np.asarray(self.energies, dtype=float)
@@ -112,7 +111,7 @@ def transmon_levels(omega01: float, alpha: float, n_levels: int) -> QubitLevels:
     charge = 0.5 * np.sqrt(k[1:])  # sqrt(1)/2, sqrt(2)/2, ...
     ej, ec = transmon_ej_ec(omega01, alpha)
     raw = (ej / (32.0 * ec)) ** 0.25
-    return QubitLevels(energies, charge, raw_charge_scale=raw, label="transmon")
+    return QubitLevels(energies, charge, raw_charge_scale=raw)
 
 
 def split_transmon_levels(
@@ -134,13 +133,7 @@ def split_transmon_levels(
             "the transmon reduction is invalid there"
         )
     omega01 = np.sqrt(8.0 * ej_eff * ec) - ec
-    levels = transmon_levels(omega01, -ec, n_levels)
-    return QubitLevels(
-        levels.energies,
-        levels.charge,
-        raw_charge_scale=levels.raw_charge_scale,
-        label="split_transmon",
-    )
+    return transmon_levels(omega01, -ec, n_levels)
 
 
 def effective_josephson_energy(ej1: float, ej2: float, phi_e: float) -> float:
@@ -190,9 +183,7 @@ def fluxonium_levels(
 
     raw = float(c_big[0])
     charge = 0.5 * (c_big / c_big[0])
-    return QubitLevels(
-        e_big, charge, raw_charge_scale=raw, basis_error=err, label="fluxonium"
-    )
+    return QubitLevels(e_big, charge, raw_charge_scale=raw, basis_error=err)
 
 
 def _fluxonium_diagonalize(

@@ -77,6 +77,8 @@ class GaConfig:
             raise ValueError("target_fidelity must be in (0, 1]")
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -121,16 +123,22 @@ def evaluate_fitness(
 
 
 def crossover(
-    parent_a: np.ndarray, parent_b: np.ndarray, cut: int
+    parent_a: np.ndarray, parent_b: np.ndarray, cut: int | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Single-point crossover, same cut position on every channel."""
+    """Single-point crossover, same cut position on every channel.
+
+    Parents are (channels, cycles) arrays with one cut, or stacked pairs
+    (pairs, channels, cycles) with one cut per pair.
+    """
     if parent_a.shape != parent_b.shape:
         raise ValueError("parents must have identical shape")
-    if not 0 <= cut <= parent_a.shape[1]:
+    cuts = np.asarray(cut)
+    if cuts.dtype.kind not in "iu":
+        raise TypeError("cut must be an integer")
+    if np.any((cuts < 0) | (cuts > parent_a.shape[-1])):
         raise ValueError("cut must lie in [0, num_cycles]")
-    child_a = np.concatenate([parent_a[:, :cut], parent_b[:, cut:]], axis=1)
-    child_b = np.concatenate([parent_b[:, :cut], parent_a[:, cut:]], axis=1)
-    return child_a, child_b
+    head = np.arange(parent_a.shape[-1]) < cuts[..., None, None]
+    return np.where(head, parent_a, parent_b), np.where(head, parent_b, parent_a)
 
 
 # -- batched fitness -----------------------------------------------------------
@@ -357,6 +365,7 @@ def run_ga(
     if not system.channels:
         raise ValueError("search needs at least one control channel")
 
+    t0 = time.perf_counter()
     engine = _FitnessEngine(system, target, num_cycles, config)
     fingerprint = _fingerprint(system, target, num_cycles)
     nch = len(system.channels)
@@ -374,7 +383,6 @@ def run_ga(
         population = rng.integers(0, 2, size=(p, nch, num_cycles), dtype=np.uint8)
         fitness = engine.fitness(population)
 
-    t0 = time.perf_counter()
     history: list[float] = []
     rank_weights = np.arange(p, 0, -1, dtype=float)  # best gets p, worst gets 1
 
@@ -399,26 +407,20 @@ def run_ga(
         weights[order_desc] = rank_weights
         parents = rng.choice(p, size=s, replace=False, p=weights / weights.sum())
 
-        children = np.empty((s, nch, num_cycles), dtype=np.uint8)
-        for k in range(0, s, 2):
-            cut = int(rng.integers(0, num_cycles + 1))
-            a, b = crossover(population[parents[k]], population[parents[k + 1]], cut)
-            children[k], children[k + 1] = a, b
+        cuts = np.array([rng.integers(0, num_cycles + 1) for _ in range(s // 2)])
+        pairs = crossover(population[parents[0::2]], population[parents[1::2]], cuts)
+        children = np.stack(pairs, axis=1).reshape(s, nch, num_cycles)
         flips = rng.random(size=children.shape) < config.mutation_probability
         children ^= flips.astype(np.uint8)
 
         child_fit = engine.fitness(children)
         kid_order = np.argsort(-child_fit, kind="stable")
-        worst_order = np.argsort(fitness, kind="stable")
-        w = 0
-        for k in kid_order:
-            if child_fit[k] <= fitness[worst_order[w]]:
-                break
-            population[worst_order[w]] = children[k]
-            fitness[worst_order[w]] = child_fit[k]
-            w += 1
-            if w >= p:
-                break
+        worst_order = np.argsort(fitness, kind="stable")[:s]
+        # Children best first against slots worst first: "beats its slot"
+        # holds for a prefix, so counting finds its length.
+        w = int((child_fit[kid_order] > fitness[worst_order]).sum())
+        population[worst_order[:w]] = children[kid_order[:w]]
+        fitness[worst_order[:w]] = child_fit[kid_order[:w]]
 
         history.append(float(fitness.max()))
 

@@ -136,6 +136,22 @@ class TestLearn:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["learn", "--seed", "-1"],
+            ["learn", "--checkpoint-every", "-3"],
+            ["sweep", "--seed", "-1", "--param", "tip_angle", "--values", "0.03"],
+        ],
+    )
+    def test_bad_flag_exits_2_without_outputs(self, fast_config, tmp_path, capsys, argv):
+        out = tmp_path / "run"
+        code = cli.main([*argv, "--config", str(fast_config), "--out-dir", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_nonpositive_max_iters(self, fast_config, tmp_path):
         code = cli.main(
             ["learn", "--config", str(fast_config), "--out-dir",
@@ -388,13 +404,19 @@ class TestSpectrumAndOracle:
         agree = float(out.split("agreement F1 = ")[1].split()[0])
         assert agree >= 0.9999
 
-    def test_oracle_argument_validation(self, fast_config):
-        assert cli.main(
-            ["oracle", "--config", str(fast_config), "--cycles", "0"]
-        ) == 2
-        assert cli.main(
-            ["oracle", "--config", str(fast_config), "--pulse-width-ps", "-1"]
-        ) == 2
+    def test_oracle_argument_validation(self, fast_config, capsys):
+        for flags in (
+            ["--cycles", "0"],
+            ["--pulse-width-ps", "-1"],
+            ["--pulse-width-ps", "3"],  # over a quarter of the 8 ps cycle
+            ["--pulse-width-ps", "nan"],
+            ["--substeps", "4"],
+            ["--seed", "-1"],
+        ):
+            capsys.readouterr()
+            assert cli.main(["oracle", "--config", str(fast_config), *flags]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestTopLevel:

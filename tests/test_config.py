@@ -1,5 +1,7 @@
 """INI experiment configs: defaults, unit conversion, strict rejection."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,16 @@ out_dir = results
         path.write_text(PAIR_CZ)
         assert parse_config(path) == parse_config_text(PAIR_CZ)
 
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Config files", 1)[1]
+        block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config_text(block)
+        assert cfg.target_name == "CZ"
+        assert cfg.channel_keys() == ["1:z"]
+        assert cfg.num_cycles == 1250
+        assert cfg.ga.seed == 21
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(tmp_path / "nope.ini")
@@ -224,6 +236,7 @@ class TestRejection:
             (lambda t: t + "\n[ga]\nmetric = f9\n", "metric"),
             (lambda t: t + "\n[ga]\npopulation_size = 1\n", "population_size"),
             (lambda t: t + "\n[ga]\nselection_size = 7\n", "even"),
+            (lambda t: t + "\n[ga]\nseed = -1\n", "seed must be a non-negative integer"),
             (lambda t: "not ini at all\n" + t, "not valid INI"),
             (lambda t: t + "\n[ga]\nelitism_count = 2\n",
              "unknown key 'elitism_count'"),

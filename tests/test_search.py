@@ -1,6 +1,7 @@
 """Genetic search: determinism, convergence, checkpointing, batch scoring."""
 
 import io
+import time
 from configparser import ConfigParser
 from dataclasses import replace
 
@@ -66,12 +67,26 @@ class TestCrossover:
         assert crossover(a, b, 0)[0].tolist() == [[1, 1, 1]]
         assert crossover(a, b, 3)[0].tolist() == [[0, 0, 0]]
 
+    def test_stacked_pairs_match_single_pairs(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.integers(0, 2, size=(2, 4, 3, 9), dtype=np.uint8)
+        cuts = np.array([0, 4, 9, 2])
+        ca, cb = crossover(a, b, cuts)
+        for i, cut in enumerate(cuts):
+            sa, sb = crossover(a[i], b[i], int(cut))
+            np.testing.assert_array_equal(ca[i], sa)
+            np.testing.assert_array_equal(cb[i], sb)
+        with pytest.raises(ValueError):
+            crossover(a, b, np.array([0, 4, 10, 2]))
+
     def test_validation(self):
         a = np.zeros((1, 3), dtype=np.uint8)
         with pytest.raises(ValueError):
             crossover(a, np.zeros((1, 4), dtype=np.uint8), 1)
         with pytest.raises(ValueError):
             crossover(a, a, 4)
+        with pytest.raises(TypeError):
+            crossover(a, a, 1.5)
 
 
 class TestGaConfig:
@@ -87,6 +102,7 @@ class TestGaConfig:
             {"target_fidelity": 0.0},
             {"target_fidelity": 1.1},
             {"metric": "f3"},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -278,6 +294,23 @@ class TestRunGa:
         assert result.iterations_used == 20
         assert calls["canonical"] == 2
         assert np.all(result.history < cfg.target_fidelity)
+
+    def test_wall_time_counts_setup_and_first_scores(
+        self, single_qubit_system, tiny_config, monkeypatch
+    ):
+        real_fitness = search._FitnessEngine.fitness
+        calls = []
+
+        def slow_first(self, bits):
+            if not calls:
+                time.sleep(0.2)
+            calls.append(1)
+            return real_fitness(self, bits)
+
+        monkeypatch.setattr(search._FitnessEngine, "fitness", slow_first)
+        cfg = replace(tiny_config, max_iterations=1)
+        result = run_ga(single_qubit_system, lookup_target("X"), 10, cfg)
+        assert result.wall_time_s >= 0.2
 
     def test_input_validation(self, single_qubit_system, tiny_config):
         with pytest.raises(ValueError):

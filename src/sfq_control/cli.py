@@ -167,7 +167,7 @@ def cmd_learn(args) -> int:
         resume_from=args.resume,
     )
     schedule = result.best.schedule()
-    report = evaluate_gate(cfg, schedule, command="learn", search=result)
+    report = evaluate_gate(cfg, command="learn", search=result)
     report_path = out / "report.txt"
     bits_path = out / "bitstream.txt"
     write_report(report_path, report)
@@ -263,7 +263,7 @@ def cmd_sweep(args) -> int:
         try:
             system = build_system(variant)
             result = run_ga(system, variant.target(), variant.num_cycles, ga)
-            report = evaluate_gate(variant, result.best.schedule(), search=result)
+            report = evaluate_gate(variant, search=result)
             rows.append([
                 repr(value),
                 repr(1.0 - report.f1),

@@ -12,7 +12,10 @@ frame rotation applied once at the final time.
 ``reference_integrate`` is the independent check on the delta-kick model: it
 integrates the Schrodinger equation with finite-width Gaussian pulses using a
 commutator-free fourth-order Magnus scheme and verifies its own convergence
-by substep doubling.
+by substep doubling.  Each distinct pulse window is integrated once: when
+pulses are narrower than a cycle their windows repeat (one product per set
+of channels fired), and wide pulses whose windows overlap merge into one
+long segment integrated substep by substep.
 """
 
 from __future__ import annotations
@@ -274,11 +277,16 @@ def reference_integrate(
 
     Each fired bit becomes a unit-area Gaussian of width ``pulse_width``
     centered at its cycle start (the cycle-0 pulse is shifted five widths in
-    so its support stays inside the run).  The propagator is built with a
-    commutator-free fourth-order Magnus scheme; substeps away from any pulse
-    reuse the static propagator.  The whole integration is repeated at double
-    resolution and the two results must agree to ``_CONVERGENCE_TOL``
-    (max-abs), else ConvergenceError.
+    so its support stays inside the run), cut off eight widths either side.
+    The propagator is built with a commutator-free fourth-order Magnus
+    scheme over each active segment (overlapping pulse windows merged), and
+    each distinct segment is integrated once: pulses narrower than a cycle
+    give windows that repeat, so the cost follows the distinct sets of
+    channels fired, not the cycle count.  Wide pulses whose windows overlap
+    fall back to one long segment.  Stretches with no pulse take one static
+    propagator each.  The whole integration is repeated at double resolution
+    and the two results must agree to ``_CONVERGENCE_TOL`` (max-abs), else
+    ConvergenceError.
 
     Returns the rest-frame unitary at the final time, like evolve_full.
     """
@@ -300,81 +308,90 @@ def reference_integrate(
     return _frame_phases(system, total_time)[:, None] * fine
 
 
-def _pulse_centers(
-    system: CoupledSystem, schedule: PulseSchedule, pulse_width: float
-) -> list[np.ndarray]:
-    """Sorted Gaussian center times per channel."""
-    dt = system.clock_period
-    centers = []
-    for row in schedule.bits:
-        t = np.flatnonzero(row).astype(float) * dt
-        if t.size and t[0] == 0.0:
-            t[0] = 5.0 * pulse_width
-        centers.append(t)
-    return centers
-
-
 def _cf4_run(
     system: CoupledSystem,
     schedule: PulseSchedule,
     pulse_width: float,
     substeps_per_cycle: int,
 ) -> np.ndarray:
-    dt = system.clock_period
+    """Lab-frame CF4 propagator, one product per distinct active segment.
+
+    A pulse's window is placed in whole substeps counted from its cycle
+    start, so every cycle rounds it alike.  A segment's product depends only
+    on its key: its length and, per pulse, (channel, substep offset from the
+    segment start, shift), where shift is 5 widths in cycle 0 and 0 after.
+    Each key is integrated once and kept only while a later segment still
+    uses it.  No array grows with cycles x substeps.
+    """
+    h = system.clock_period / substeps_per_cycle
     n_steps = schedule.num_cycles * substeps_per_cycle
-    h_sub = dt / substeps_per_cycle
-    dim = system.dim_sim
-    u = np.eye(dim, dtype=complex)
-    if n_steps == 0:
-        return u
-
-    gens = [kick_generator(system, c) for c in system.channels]
-    centers = _pulse_centers(system, schedule, pulse_width)
-    window = _PULSE_CUTOFF_SIGMAS * pulse_width
-
-    active = np.zeros(n_steps, dtype=bool)
-    for t in centers:
-        lo = np.floor((t - window) / h_sub).astype(int)
-        hi = np.ceil((t + window) / h_sub).astype(int)
-        for a, b in zip(lo, hi):
-            active[max(a, 0) : min(b, n_steps)] = True
-
+    reach = _PULSE_CUTOFF_SIGMAS * pulse_width
     w_static, v_static = np.linalg.eigh(system.h_static)
 
-    def free_prop(duration: float) -> np.ndarray:
-        return (v_static * np.exp(-1j * w_static * duration)) @ v_static.conj().T
+    def free(n: int) -> np.ndarray:
+        return (v_static * np.exp(-1j * w_static * (n * h))) @ v_static.conj().T
 
+    channel, cycle = np.nonzero(schedule.bits)
+    step = cycle.astype(np.int64) * substeps_per_cycle
+    shift = np.where(cycle == 0, 5.0 * pulse_width, 0.0)
+    lo = np.maximum(step + np.floor((shift - reach) / h).astype(np.int64), 0)
+    hi = np.minimum(step + np.ceil((shift + reach) / h).astype(np.int64), n_steps)
+    # Windows in order of their start (cycle 0's shift can put it after
+    # cycle 1's).  A window opens a segment when it starts at or after every
+    # earlier window's end; the first always does, as lo >= 0.
+    order = np.lexsort((channel, shift, step, lo))
+    lo, hi, channel, step, shift = (a[order] for a in (lo, hi, channel, step, shift))
+    first = np.flatnonzero(lo >= np.r_[0, np.maximum.accumulate(hi)[:-1]])
+    seg_lo, seg_hi = lo[first].tolist(), np.maximum.reduceat(hi, first).tolist()
+    bounds = np.r_[first, lo.size].tolist()
+    channel, step, shift = channel.tolist(), step.tolist(), shift.tolist()
+    keys = [
+        (b - a, tuple(zip(channel[i:j], [s - a for s in step[i:j]], shift[i:j])))
+        for a, b, i, j in zip(seg_lo, seg_hi, bounds, bounds[1:])
+    ]
+    last_use = {key: k for k, key in enumerate(keys)}
+
+    gens = np.stack([kick_generator(system, c) for c in system.channels])
+    u = np.eye(system.dim_sim, dtype=complex)
+    products: dict = {}
+    pos = 0
+    for k, (key, a, b) in enumerate(zip(keys, seg_lo, seg_hi)):
+        if a > pos:
+            u = free(a - pos) @ u
+        product = products.pop(key, None)
+        if product is None:
+            product = _cf4_segment(system.h_static, gens, key, h, pulse_width)
+        if last_use[key] > k:
+            products[key] = product
+        u = product @ u
+        pos = b
+    if n_steps > pos:
+        u = free(n_steps - pos) @ u
+    return u
+
+
+def _cf4_segment(
+    h_static: np.ndarray,
+    gens: np.ndarray,
+    key: tuple,
+    h: float,
+    pulse_width: float,
+) -> np.ndarray:
+    """CF4 product over one active segment, times local to its start."""
+    length, pulses = key
+    channel, offset, shift = (np.array(a) for a in zip(*pulses))
+    onehot = np.eye(len(gens))[channel]  # (pulses, channels)
+    nodes = np.array([0.5 - _CF4_NODE, 0.5 + _CF4_NODE])[:, None]
+    reach = _PULSE_CUTOFF_SIGMAS * pulse_width
     norm = 1.0 / (pulse_width * np.sqrt(2.0 * np.pi))
-
-    def hamiltonian(t: float) -> np.ndarray:
-        h = system.h_static
-        for gen, cts in zip(gens, centers):
-            if cts.size == 0:
-                continue
-            i0 = np.searchsorted(cts, t - window)
-            i1 = np.searchsorted(cts, t + window)
-            if i1 > i0:
-                x = t - cts[i0:i1]
-                amp = float(np.sum(np.exp(-0.5 * (x / pulse_width) ** 2))) * norm
-                h = h + amp * gen
-        return h
-
-    s = 0
-    while s < n_steps:
-        if not active[s]:
-            e = s + 1
-            while e < n_steps and not active[e]:
-                e += 1
-            u = free_prop((e - s) * h_sub) @ u
-            s = e
-            continue
-        t0 = s * h_sub
-        h1 = hamiltonian(t0 + (0.5 - _CF4_NODE) * h_sub)
-        h2 = hamiltonian(t0 + (0.5 + _CF4_NODE) * h_sub)
+    u = np.eye(len(h_static), dtype=complex)
+    for j in range(length):
+        x = ((j - offset) + nodes) * h - shift  # (2 nodes, pulses)
+        amp = np.where(np.abs(x) <= reach, np.exp(-0.5 * (x / pulse_width) ** 2), 0.0)
+        h1, h2 = h_static + np.tensordot(norm * amp @ onehot, gens, 1)
         first = _CF4_W1 * h1 + _CF4_W2 * h2  # earlier-node heavy, applied first
         second = _CF4_W2 * h1 + _CF4_W1 * h2
-        u = _expm_herm(second, h_sub) @ (_expm_herm(first, h_sub) @ u)
-        s += 1
+        u = _expm_herm(second, h) @ (_expm_herm(first, h) @ u)
     return u
 
 

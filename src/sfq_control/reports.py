@@ -52,20 +52,27 @@ class GateReport:
 
 def evaluate_gate(
     cfg: ExperimentConfig,
-    schedule: PulseSchedule,
+    schedule: PulseSchedule | None = None,
     command: str = "evaluate",
     search: SearchResult | None = None,
 ) -> GateReport:
     """Compute the full report for one schedule under one config.
 
-    The learning-space numbers (fitness, f1, f2, norm_loss) come from the
-    same canonical path the search scores with; leakage and the *_wide row
-    come from unprojected evolutions at n_sim and n_sim + 2 levels.
+    Pass either a schedule or a search result; a search reports its best
+    schedule.  The learning-space numbers (fitness, f1, f2, norm_loss) come
+    from the canonical path the search scores with (for a search, its own
+    breakdown of the best); leakage and the *_wide row come from
+    unprojected evolutions at n_sim and n_sim + 2 levels.
     """
+    if (schedule is None) == (search is None):
+        raise TypeError("pass either a schedule or a search result")
     system = build_system(cfg)
     target = cfg.target()
     cycles = precompute(system)
-    breakdown = evaluate_fitness(cycles, schedule, target, cfg.ga.metric)
+    if search is None:
+        breakdown = evaluate_fitness(cycles, schedule, target, cfg.ga.metric)
+    else:
+        schedule, breakdown = search.best.schedule(), search.breakdown
     leak = avg_leakage(evolve_full(cycles, schedule), system)
 
     wide_system = build_system(cfg, n_sim_levels=cfg.n_sim_levels + 2)

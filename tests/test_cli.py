@@ -113,6 +113,34 @@ class TestLearn:
         assert read_report(out / "report.txt").terminated_by == "max_iterations"
         assert "budget" in capsys.readouterr().err
 
+    def test_report_reuses_the_search_breakdown(
+        self, fast_config, tmp_path, monkeypatch
+    ):
+        # learn reports the search's canonical breakdown of the best instead
+        # of scoring the same bits a second time
+        from dataclasses import replace
+
+        from sfq_control import reports, search
+        from sfq_control.config import build_system, parse_config
+
+        calls = []
+        real = search.evaluate_fitness
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for module in (search, reports):
+            monkeypatch.setattr(module, "evaluate_fitness", counting)
+        cfg = parse_config(fast_config)
+        ga = replace(cfg.ga, max_iterations=5)
+        search.run_ga(build_system(cfg), cfg.target(), cfg.num_cycles, ga)
+        in_search = len(calls)
+        calls.clear()
+        cli.main(["learn", "--config", str(fast_config), "--out-dir",
+                  str(tmp_path / "run"), "--max-iters", "5"])
+        assert len(calls) == in_search > 0
+
     def test_seed_override_recorded(self, fast_config, tmp_path):
         out = tmp_path / "run"
         cli.main(["learn", "--config", str(fast_config), "--out-dir", str(out),

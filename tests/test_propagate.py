@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sfq_control as sc
 from conftest import GHZ, make_pair_system
+from sfq_control import propagate
 from sfq_control.propagate import (
+    _CF4_NODE,
+    _CF4_W1,
+    _CF4_W2,
     BitstreamFormatError,
     ConvergenceError,
     _cf4_run,
@@ -205,6 +209,32 @@ class TestReferenceIntegrator:
         with pytest.raises(ValueError):
             sc.reference_integrate(system, sch, pulse_width=5e-12)
 
+    def test_repeated_windows_are_integrated_once(self, transmon_pair, monkeypatch):
+        # a pulse in every cycle: the same window products, however many cycles
+        q0, _ = transmon_pair
+        system = sc.assemble([q0], 2, 4, channels=[sc.ControlChannel(0, "x", 0.03)])
+        calls = []
+
+        def counting(h, scale=1.0):
+            calls.append(scale)
+            return _expm_herm(h, scale)
+
+        monkeypatch.setattr(propagate, "_expm_herm", counting)
+        counts = []
+        for n in (10, 40):
+            calls.clear()
+            sc.reference_integrate(system, sc.PulseSchedule(np.ones((1, n), np.uint8)))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    def test_pulse_free_run_does_not_scale_with_substeps(self, transmon_pair):
+        q0, _ = transmon_pair
+        system = sc.assemble([q0], 2, 4, channels=[sc.ControlChannel(0, "x", 0.03)])
+        sch = sc.PulseSchedule.zeros(1, 3)
+        u_ref = sc.reference_integrate(system, sch, substeps_per_cycle=10**12)
+        u_delta = sc.evolve_full(sc.precompute(system), sch)
+        np.testing.assert_allclose(u_ref, u_delta, atol=1e-12)
+
     def test_expm_herm_matches_scipy(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
@@ -212,6 +242,68 @@ class TestReferenceIntegrator:
         np.testing.assert_allclose(
             _expm_herm(h, 0.7), scipy.linalg.expm(-0.7j * h), atol=1e-12
         )
+
+
+def stepwise_cf4(system, schedule, pulse_width, substeps_per_cycle, cutoff):
+    """The plain loop: a CF4 step for every substep, summing every pulse
+    within ``cutoff`` widths of each node (cycle 0 shifted five widths in)."""
+    h = system.clock_period / substeps_per_cycle
+    gens = [kick_generator(system, c) for c in system.channels]
+    pulses = [
+        (c, t * substeps_per_cycle, 5.0 * pulse_width if t == 0 else 0.0)
+        for c, t in zip(*np.nonzero(schedule.bits))
+    ]
+    norm = 1.0 / (pulse_width * np.sqrt(2.0 * np.pi))
+    u = np.eye(system.dim_sim, dtype=complex)
+    for s in range(schedule.num_cycles * substeps_per_cycle):
+        h_nodes = []
+        for node in (0.5 - _CF4_NODE, 0.5 + _CF4_NODE):
+            h_node = system.h_static
+            for c, step, shift in pulses:
+                x = ((s - step) + node) * h - shift
+                if abs(x) <= cutoff * pulse_width:
+                    amp = norm * np.exp(-0.5 * (x / pulse_width) ** 2)
+                    h_node = h_node + amp * gens[c]
+            h_nodes.append(h_node)
+        h1, h2 = h_nodes
+        first = _CF4_W1 * h1 + _CF4_W2 * h2
+        second = _CF4_W2 * h1 + _CF4_W1 * h2
+        u = _expm_herm(second, h) @ (_expm_herm(first, h) @ u)
+    return u
+
+
+_SLOTS = [(0, "x"), (1, "z"), (1, "x")]
+
+
+# Widths are in units of the 8 ps clock period T.  At the 8-width cutoff a
+# window edge holds ~1e-14 of a pulse, below any tolerance, so the cutoff is
+# also drawn at 3 widths, where one substep at an edge carries weight.
+@settings(max_examples=60, deadline=None)
+@given(
+    nch=st.integers(1, 3),
+    masks=st.lists(st.integers(0, 7), min_size=1, max_size=12),
+    substeps=st.integers(8, 64),
+    width=st.floats(0.1 / 8.0, 0.25),
+    cutoff=st.sampled_from([propagate._PULSE_CUTOFF_SIGMAS, 3.0]),
+)
+@example(nch=1, masks=[1, 0, 0], substeps=16, width=0.05, cutoff=8.0)  # cycle 0
+@example(nch=2, masks=[3, 1, 0, 2], substeps=12, width=0.24, cutoff=8.0)  # 5w > T
+@example(nch=2, masks=[1, 2, 3, 1, 2], substeps=24, width=0.2, cutoff=3.0)  # overlap
+@example(nch=1, masks=[0, 0, 1], substeps=16, width=0.2, cutoff=8.0)  # cut at the end
+def test_cf4_run_is_the_stepwise_loop(
+    transmon_pair, nch, masks, substeps, width, cutoff
+):
+    q0, q1 = transmon_pair
+    channels = [sc.ControlChannel(q, axis, 0.3) for q, axis in _SLOTS[:nch]]
+    system = make_pair_system(q0, q1, n_levels=2, n_sim=3, channels=channels)
+    bits = (np.array(masks)[None, :] >> np.arange(nch)[:, None]) & 1
+    schedule = sc.PulseSchedule(bits)
+    pulse_width = width * system.clock_period
+    ref = stepwise_cf4(system, schedule, pulse_width, substeps, cutoff)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagate, "_PULSE_CUTOFF_SIGMAS", cutoff)
+        got = _cf4_run(system, schedule, pulse_width, substeps)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
 class TestBitstreamFiles:

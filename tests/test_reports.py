@@ -52,6 +52,11 @@ class TestEvaluateGate:
         assert set(report.bitstreams) == {"0:x", "0:z"}
         assert len(report.bitstreams["0:x"]) == 40
 
+    def test_needs_exactly_one_of_schedule_and_search(self):
+        cfg = parse_config_text(CONFIG)
+        with pytest.raises(TypeError):
+            evaluate_gate(cfg)
+
     def test_wide_row_present_and_sane(self, report):
         # two extra levels must not change a converged answer wildly
         assert 0.0 <= report.f1_wide <= 1.0

@@ -53,9 +53,8 @@ def rz_fidelity_f2(
     """F1 maximized over a trailing virtual Z per qubit.
 
     Returns (f2, z_angles); applying diag phases exp(i k . angles) after the
-    gate reproduces f2 as a plain F1.  The inner phase is eliminated in
-    closed form (sup over a unit phase of |a + b y| is |a| + |b|); the outer
-    one is maximized on a coarse grid refined by golden-section steps.
+    gate reproduces f2 as a plain F1.  For two qubits the outer angle is found
+    on a grid, then by Newton steps; one closed-form tail gives the inner one.
     """
     a = _check_block(block, target)[None, :, :]
     f2, angles = _f2_batch(a, target.matrix)
@@ -75,54 +74,43 @@ def _f1_batch(a: np.ndarray, target: np.ndarray) -> np.ndarray:
     return (gamma + np.abs(tr) ** 2) / (d * (d + 1))
 
 
+_GRID = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)  # outer angles of _f2_batch
+_GRID_PHASES = np.exp(1j * _GRID)
+
+
 def _f2_batch(a: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched F2 over blocks a (B, d, d), d in (2, 4), and its Z angles.
 
-    For one qubit the supremum is closed-form.  For two, with
-    D = diag(1, y, x, xy), tr(T^dag D A) = (w0 + w1 y) + x (w2 + w3 y);
-    the sup over |x| = 1 is g(y) = |w0 + w1 y| + |w2 + w3 y|, maximized
-    over y = e^{i theta} numerically.
+    For two qubits, with D = diag(1, y, x, xy), tr(T^dag D A) = p + x q for
+    p = w0 + w1 y, q = w2 + w3 y; theta = arg y maximizes g = |p| + |q| on a
+    grid, then by 8 Newton steps: per term t = c0 + c1 y, with s = conj(t) t'
+    and r = Im(s) / |t|, |t|' = Re(s) / |t| and |t|'' = r^2 / |t| - r (0 where
+    t = 0); no step where g'' is not negative or is NaN, none longer than a
+    grid spacing.  For one qubit (p, q) = (w0, w1).  One closed-form tail
+    ends both: sup over |x| = 1 of |p + x q| is |p| + |q|, at arg p - arg q.
     """
     d = target.shape[0]
     gamma = np.sum(np.abs(a) ** 2, axis=(1, 2))
     w = _row_overlaps(a, target)
-    if d == 2:
-        g = np.abs(w[:, 0]) + np.abs(w[:, 1])
-        angles = [np.angle(w[:, 0]) - np.angle(w[:, 1])]
-    else:
-        def g_of(theta: np.ndarray) -> np.ndarray:
-            # theta: (B, K) angles of y per batch element
-            y = np.exp(1j * theta)
-            return np.abs(w[:, 0, None] + w[:, 1, None] * y) + np.abs(
-                w[:, 2, None] + w[:, 3, None] * y
-            )
-
-        grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-        vals = g_of(np.broadcast_to(grid, (a.shape[0], grid.size)))
-        j = np.argmax(vals, axis=1)
-        step = grid[1] - grid[0]
-        theta1 = _golden_max(g_of, grid[j] - step, grid[j] + step)
-        g = g_of(theta1[:, None])[:, 0]
-        y = np.exp(1j * theta1)
-        theta0 = np.angle(w[:, 0] + w[:, 1] * y) - np.angle(w[:, 2] + w[:, 3] * y)
-        angles = [theta0, theta1]
+    p, q, angles = w[:, 0], w[:, 1], []
+    if d == 4:
+        c0, c1 = w[:, 0::2], w[:, 1::2]  # columns p and q: c0 + c1 y
+        grid_g = np.abs(c0[..., None] + c1[..., None] * _GRID_PHASES).sum(axis=1)
+        theta = _GRID[np.argmax(grid_g, axis=1)]
+        for _ in range(8):
+            y = np.exp(1j * theta)[:, None]
+            t = c0 + c1 * y
+            inv = np.divide(1.0, np.abs(t), out=np.zeros(t.shape), where=t != 0)
+            s = np.conj(t) * 1j * c1 * y
+            r = s.imag * inv
+            g1, g2 = (s.real * inv).sum(axis=1), (r * (r * inv - 1.0)).sum(axis=1)
+            step = np.divide(g1, -g2, out=np.zeros(len(w)), where=g2 < 0)
+            theta = theta + np.clip(step, -_GRID[1], _GRID[1])
+        p, q = (c0 + c1 * np.exp(1j * theta)[:, None]).T
+        angles.append(theta)
+    g = np.abs(p) + np.abs(q)
+    angles.insert(0, np.angle(p) - np.angle(q))
     return (gamma + g**2) / (d * (d + 1)), np.stack(angles, axis=1)
-
-
-def _golden_max(f, lo: np.ndarray, hi: np.ndarray, iters: int = 48) -> np.ndarray:
-    """Vectorized golden-section maximization on per-element brackets."""
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo.astype(float).copy(), hi.astype(float).copy()
-    for _ in range(iters):
-        span = b - a
-        c = b - gr * span
-        d = a + gr * span
-        both = np.stack([c, d], axis=1)
-        fc_fd = f(both)
-        take_right = fc_fd[:, 0] < fc_fd[:, 1]
-        a = np.where(take_right, c, a)
-        b = np.where(take_right, b, d)
-    return 0.5 * (a + b)
 
 
 def avg_leakage(u_full: np.ndarray, system: CoupledSystem) -> float:

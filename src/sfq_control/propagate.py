@@ -265,6 +265,7 @@ _CF4_W2 = 0.25 - np.sqrt(3.0) / 6.0
 _PULSE_CUTOFF_SIGMAS = 8.0
 # Max-abs change allowed when the substep count is doubled.
 _CONVERGENCE_TOL = 1e-6
+_CF4_MAX_EXPONENTIALS = 10**7  # per reference_integrate call, both runs
 
 
 def reference_integrate(
@@ -286,7 +287,8 @@ def reference_integrate(
     fall back to one long segment.  Stretches with no pulse take one static
     propagator each.  The whole integration is repeated at double resolution
     and the two results must agree to ``_CONVERGENCE_TOL`` (max-abs), else
-    ConvergenceError.
+    ConvergenceError.  ValueError, before integrating, if both runs together
+    take over ``_CF4_MAX_EXPONENTIALS`` exponentials (2 per segment substep).
 
     Returns the rest-frame unitary at the final time, like evolve_full.
     """
@@ -295,6 +297,12 @@ def reference_integrate(
         raise ValueError("substeps_per_cycle must be at least 8")
     if not 0 < pulse_width <= 0.25 * system.clock_period:  # NaN fails too
         raise ValueError("pulse_width must be positive and well under a cycle")
+    work = sum(2 * length for n in (substeps_per_cycle, 2 * substeps_per_cycle)
+               for length, _ in set(_cf4_plan(system, schedule, pulse_width, n)[0]))
+    if work > _CF4_MAX_EXPONENTIALS:
+        raise ValueError(
+            f"the reference needs {work:.2e} matrix exponentials (over "
+            f"{_CF4_MAX_EXPONENTIALS:.0e}); use fewer substeps or narrower pulses")
 
     coarse = _cf4_run(system, schedule, pulse_width, substeps_per_cycle)
     fine = _cf4_run(system, schedule, pulse_width, 2 * substeps_per_cycle)
@@ -308,31 +316,21 @@ def reference_integrate(
     return _frame_phases(system, total_time)[:, None] * fine
 
 
-def _cf4_run(
-    system: CoupledSystem,
-    schedule: PulseSchedule,
-    pulse_width: float,
-    substeps_per_cycle: int,
-) -> np.ndarray:
-    """Lab-frame CF4 propagator, one product per distinct active segment.
+def _cf4_plan(
+    system: CoupledSystem, schedule: PulseSchedule, pulse_width: float, substeps: int
+) -> tuple[list[tuple], list[int], list[int], float, int]:
+    """Active segments of a CF4 run: (keys, starts, ends, substep, n_steps).
 
     A pulse's window is placed in whole substeps counted from its cycle
     start, so every cycle rounds it alike.  A segment's product depends only
     on its key: its length and, per pulse, (channel, substep offset from the
     segment start, shift), where shift is 5 widths in cycle 0 and 0 after.
-    Each key is integrated once and kept only while a later segment still
-    uses it.  No array grows with cycles x substeps.
     """
-    h = system.clock_period / substeps_per_cycle
-    n_steps = schedule.num_cycles * substeps_per_cycle
+    h = system.clock_period / substeps
+    n_steps = schedule.num_cycles * substeps
     reach = _PULSE_CUTOFF_SIGMAS * pulse_width
-    w_static, v_static = np.linalg.eigh(system.h_static)
-
-    def free(n: int) -> np.ndarray:
-        return (v_static * np.exp(-1j * w_static * (n * h))) @ v_static.conj().T
-
     channel, cycle = np.nonzero(schedule.bits)
-    step = cycle.astype(np.int64) * substeps_per_cycle
+    step = cycle.astype(np.int64) * substeps
     shift = np.where(cycle == 0, 5.0 * pulse_width, 0.0)
     lo = np.maximum(step + np.floor((shift - reach) / h).astype(np.int64), 0)
     hi = np.minimum(step + np.ceil((shift + reach) / h).astype(np.int64), n_steps)
@@ -349,7 +347,19 @@ def _cf4_run(
         (b - a, tuple(zip(channel[i:j], [s - a for s in step[i:j]], shift[i:j])))
         for a, b, i, j in zip(seg_lo, seg_hi, bounds, bounds[1:])
     ]
+    return keys, seg_lo, seg_hi, h, n_steps
+
+
+def _cf4_run(
+    system: CoupledSystem, schedule: PulseSchedule, pulse_width: float, substeps: int
+) -> np.ndarray:
+    """Lab-frame CF4 propagator; each distinct segment key is integrated once."""
+    keys, seg_lo, seg_hi, h, n_steps = _cf4_plan(system, schedule, pulse_width, substeps)
     last_use = {key: k for k, key in enumerate(keys)}
+    w_static, v_static = np.linalg.eigh(system.h_static)
+
+    def free(n: int) -> np.ndarray:
+        return (v_static * np.exp(-1j * w_static * (n * h))) @ v_static.conj().T
 
     gens = np.stack([kick_generator(system, c) for c in system.channels])
     u = np.eye(system.dim_sim, dtype=complex)

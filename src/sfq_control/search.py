@@ -182,7 +182,8 @@ class _FitnessEngine:
     def _fitness_batch(self, bits: np.ndarray) -> np.ndarray:
         start = np.broadcast_to(self.start, (len(bits), *self.start.shape))
         m = chain_bits(self.tables, bits, start)
-        a = m[:, self.comp, :] * self.frame[None, :, None]
+        # C order, so each row's metric sums run alike in any batch
+        a = np.ascontiguousarray(m[:, self.comp, :]) * self.frame[None, :, None]
         if self.config.metric == "f1":
             return _f1_batch(a, self.target.matrix)
         return _f2_batch(a, self.target.matrix)[0]

@@ -1,5 +1,11 @@
 """End-to-end command-line runs against temporary configs and outputs."""
 
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -445,6 +451,24 @@ class TestSpectrumAndOracle:
             assert cli.main(["oracle", "--config", str(fast_config), *flags]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_oracle_refuses_unbounded_work(self):
+        # about 5e11 matrix exponentials: refused before integrating, in a
+        # child process so a run that does integrate is killed, not waited on
+        root = Path(__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+        t0 = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "sfq_control.cli", "oracle",
+             "--config", str(root / "tests" / "data" / "regression.ini"),
+             "--cycles", "3", "--substeps", "100000000000"],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert time.perf_counter() - t0 < 2.0
+        assert run.returncode == 2
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+        assert run.stdout == ""
 
 
 class TestTopLevel:

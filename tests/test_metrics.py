@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sfq_control as sc
 from conftest import GHZ, make_pair_system, random_unitary
@@ -81,23 +83,17 @@ class TestF1:
 
 
 def brute_force_f2(a, target, n_grid=480):
-    """Direct 2D supremum over both trailing Z angles."""
+    """Direct 2D supremum over both trailing Z angles, on an n_grid^2 grid."""
     d = target.shape[0]
     gamma = np.sum(np.abs(a) ** 2)
-    best = 0.0
+    v = np.sum(np.conj(target) * a, axis=1)  # tr(T^dag D A) = sum_k D_k v_k
     angles = np.linspace(0, 2 * np.pi, n_grid, endpoint=False)
-    for t0 in angles:
-        diag = (
-            np.exp(1j * np.array([0, 0, t0, t0]))
-            if d == 4
-            else np.exp(1j * np.array([0, t0]))
-        )
-        for t1 in angles if d == 4 else [0.0]:
-            full = diag * (
-                np.exp(1j * np.array([0, t1, 0, t1])) if d == 4 else 1.0
-            )
-            tr = np.sum(np.conj(target) * (full[:, None] * a))
-            best = max(best, abs(tr))
+    if d == 4:
+        t0, t1 = np.meshgrid(angles, angles, indexing="ij")
+        phase = t0[..., None] * [0, 0, 1, 1] + t1[..., None] * [0, 1, 0, 1]
+    else:
+        phase = angles[:, None] * [0, 1]
+    best = np.max(np.abs(np.exp(1j * phase) @ v))
     return (gamma + best**2) / (d * (d + 1))
 
 
@@ -158,6 +154,50 @@ class TestF2:
         for i in range(7):
             scalar, _ = score_f2(a[i], "CZ")
             assert batch[i] == pytest.approx(scalar, abs=1e-12)
+
+
+def dense_sup_f2(a, target, n_theta=20_000):
+    """F2 from a dense 1-D supremum over the outer angle theta, the inner
+    phase x in closed form: sup over |x| = 1 of |u + x v| is |u| + |v|."""
+    gamma = np.sum(np.abs(a) ** 2)
+    v = np.sum(np.conj(target) * a, axis=1)
+    y = np.exp(1j * np.linspace(0, 2 * np.pi, n_theta, endpoint=False))
+    g = np.abs(v[0] + v[1] * y) + np.abs(v[2] + v[3] * y)
+    return (gamma + np.max(g) ** 2) / 20
+
+
+# Rows whose zeroing makes a block degenerate: p = w0 + w1 y vanishes with
+# rows 0 and 1, q = w2 + w3 y with rows 2 and 3, and g is flat (w1 = w3 = 0)
+# with rows 1 and 3, since w_k reads row k only.
+_ZERO_ROWS = {
+    "ginibre": [], "near_unitary": [], "p_zero": [0, 1], "q_zero": [2, 3], "flat": [1, 3],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_ZERO_ROWS)),
+    target=st.sampled_from(["CZ", "II", "ISWAP", "CNOT"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="flat", target="CZ", seed=0)
+@example(kind="p_zero", target="ISWAP", seed=0)
+@example(kind="q_zero", target="CNOT", seed=0)
+def test_f2_on_degenerate_blocks(kind, target, seed):
+    rng = np.random.default_rng(seed)
+    a = 0.5 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    if kind == "near_unitary":
+        a = random_unitary(rng, 4) + 1e-3 * a
+    a[_ZERO_ROWS[kind]] = 0.0
+    t = lookup_target(target)
+    with np.errstate(all="raise"):
+        f2, (t0, t1) = rz_fidelity_f2(a, t)
+        d = np.exp(1j * (t0 * np.array([0, 0, 1, 1]) + t1 * np.array([0, 1, 0, 1])))
+        f1_rotated = avg_fidelity_f1(d[:, None] * a, t)
+    ref = dense_sup_f2(a, t.matrix)
+    assert f2 >= ref - 1e-12
+    assert f2 == pytest.approx(ref, abs=1e-6)
+    assert f1_rotated == pytest.approx(f2, abs=1e-9)
 
 
 class TestLeakage:

@@ -227,6 +227,29 @@ class TestReferenceIntegrator:
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 
+    def test_work_budget_counts_the_exponentials_taken(self, transmon_pair, monkeypatch):
+        # the budget is checked on exactly the exponentials both runs take,
+        # and a run over it is refused before any is taken
+        q0, _ = transmon_pair
+        system = sc.assemble([q0], 2, 4, channels=[sc.ControlChannel(0, "x", 0.03)])
+        sch = sc.PulseSchedule.random(np.random.default_rng(9), 1, 12)
+        calls = []
+
+        def counting(h, scale=1.0):
+            calls.append(scale)
+            return _expm_herm(h, scale)
+
+        monkeypatch.setattr(propagate, "_expm_herm", counting)
+        sc.reference_integrate(system, sch)
+        taken = len(calls)
+        monkeypatch.setattr(propagate, "_CF4_MAX_EXPONENTIALS", taken)
+        sc.reference_integrate(system, sch)
+        monkeypatch.setattr(propagate, "_CF4_MAX_EXPONENTIALS", taken - 1)
+        calls.clear()
+        with pytest.raises(ValueError, match="matrix exponentials"):
+            sc.reference_integrate(system, sch)
+        assert calls == []
+
     def test_pulse_free_run_does_not_scale_with_substeps(self, transmon_pair):
         q0, _ = transmon_pair
         system = sc.assemble([q0], 2, 4, channels=[sc.ControlChannel(0, "x", 0.03)])

@@ -4,6 +4,7 @@ import io
 import time
 from configparser import ConfigParser
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import sfq_control as sc
 from conftest import GHZ, make_pair_system
 from sfq_control import search
+from sfq_control.config import build_system, parse_config
 from sfq_control.propagate import PulseSchedule, precompute
 from sfq_control.search import (
     CheckpointError,
@@ -152,6 +154,33 @@ class TestBatchEngine:
                         cycles, PulseSchedule(bits[i]), target, metric
                     ).value(metric)
                     assert batch[i] == pytest.approx(ref, abs=1e-12), label
+
+    @pytest.mark.parametrize("problem", ["search_z", "cli", "regression"])
+    def test_score_does_not_depend_on_the_batch(self, transmon_pair, problem):
+        # the cache and bit-for-bit resume need a row's score to be a pure
+        # function of its bits: alone, among any companions, at any position
+        if problem == "regression":
+            cfg = parse_config(Path(__file__).parent / "data" / "regression.ini")
+            system, target, n = build_system(cfg), cfg.target(), cfg.num_cycles
+        else:
+            x01 = [ControlChannel(0, "x", 0.003), ControlChannel(1, "x", 0.003)]
+            j_ghz, channels, n = {
+                "search_z": (0.1, [ControlChannel(1, "z", 0.03)], 625),
+                "cli": (0.05, x01, 5000),
+            }[problem]
+            system = make_pair_system(*transmon_pair, j_ghz=j_ghz, channels=channels)
+            target = lookup_target("CZ")
+        rng = np.random.default_rng(14)
+        bits = rng.integers(0, 2, size=(64, len(system.channels), n), dtype=np.uint8)
+        for metric in ("f1", "f2"):
+            engine = _FitnessEngine(system, target, n, GaConfig(metric=metric))
+            whole = engine._fitness_batch(bits)
+            alone = [engine._fitness_batch(bits[i : i + 1])[0] for i in range(64)]
+            np.testing.assert_array_equal(alone, whole)
+            for size in rng.integers(2, 65, size=6):
+                pick = rng.permutation(64)[:size]
+                again = engine._fitness_batch(bits[pick])
+                np.testing.assert_array_equal(again, whole[pick])
 
     def test_cache_skips_repeat_evaluations(self, single_qubit_system):
         engine = _FitnessEngine(single_qubit_system, lookup_target("X"), 30, GaConfig())

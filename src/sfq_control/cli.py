@@ -20,6 +20,7 @@ from . import __version__
 from .config import (
     DESK_MAX_ITERATIONS,
     FULL_MAX_ITERATIONS,
+    GHZ,
     ConfigError,
     ExperimentConfig,
     build_system,
@@ -42,8 +43,6 @@ from .search import load_checkpoint, run_ga
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
-
-GHZ = 2.0 * np.pi * 1e9
 
 
 def main(argv: list[str] | None = None) -> int:

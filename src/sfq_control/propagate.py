@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .files import atomic_open
-from .system import CoupledSystem, kick_generator
+from .system import CoupledSystem, _expm_herm, kick_generator
 
 __all__ = [
     "PulseSchedule",
@@ -129,12 +129,6 @@ class CycleUnitarySet:
         return self.combos[0]
 
 
-def _expm_herm(h: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """exp(-1j * scale * h) for Hermitian h via eigendecomposition."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * scale * w)) @ v.conj().T
-
-
 def precompute(system: CoupledSystem) -> CycleUnitarySet:
     free = _expm_herm(system.h_static, system.clock_period)
     gens = [kick_generator(system, c) for c in system.channels]
@@ -223,8 +217,10 @@ def _check_schedule(system: CoupledSystem, schedule: PulseSchedule) -> None:
         )
 
 
-def _frame_phases(system: CoupledSystem, total_time: float) -> np.ndarray:
-    """Rest-frame rotation exp(+i E_bare T) as a phase vector."""
+def _frame_phases(system: CoupledSystem, num_cycles: int) -> np.ndarray:
+    """Rest-frame rotation exp(+i E_bare T), T = num_cycles clock periods,
+    as a phase vector."""
+    total_time = num_cycles * system.clock_period
     return np.exp(1j * system.bare_energies * total_time)
 
 
@@ -240,8 +236,7 @@ def evolve_projected(
     _check_schedule(system, schedule)
     d = system.dim_learn
     m = chain(cycles.combos_learn, schedule.masks(), np.eye(d, dtype=complex))
-    total_time = schedule.num_cycles * system.clock_period
-    phases = _frame_phases(system, total_time)[system.learn_indices]
+    phases = _frame_phases(system, schedule.num_cycles)[system.learn_indices]
     m = phases[:, None] * m
     norm_loss = 1.0 - float(np.sum(np.abs(m) ** 2)) / d
     return EvolutionResult(matrix=m, norm_loss=norm_loss)
@@ -252,8 +247,7 @@ def evolve_full(cycles: CycleUnitarySet, schedule: PulseSchedule) -> np.ndarray:
     system = cycles.system
     _check_schedule(system, schedule)
     u = chain(cycles.combos, schedule.masks(), np.eye(system.dim_sim, dtype=complex))
-    total_time = schedule.num_cycles * system.clock_period
-    return _frame_phases(system, total_time)[:, None] * u
+    return _frame_phases(system, schedule.num_cycles)[:, None] * u
 
 
 # -- continuous-pulse reference -----------------------------------------------
@@ -287,14 +281,19 @@ def reference_integrate(
     fall back to one long segment.  Stretches with no pulse take one static
     propagator each.  The whole integration is repeated at double resolution
     and the two results must agree to ``_CONVERGENCE_TOL`` (max-abs), else
-    ConvergenceError.  ValueError, before integrating, if both runs together
-    take over ``_CF4_MAX_EXPONENTIALS`` exponentials (2 per segment substep).
+    ConvergenceError.  ValueError, before integrating, if substeps_per_cycle
+    is outside 8 .. 2^60 // (num_cycles + 4) or both runs together take over
+    ``_CF4_MAX_EXPONENTIALS`` exponentials (2 per segment substep).
 
     Returns the rest-frame unitary at the final time, like evolve_full.
     """
     _check_schedule(system, schedule)
-    if substeps_per_cycle < 8:
-        raise ValueError("substeps_per_cycle must be at least 8")
+    # A substep index of the doubled run, window reach included, stays under
+    # 2 * (num_cycles + 4) * substeps_per_cycle <= 2^61: inside int64.
+    most = 2**60 // (schedule.num_cycles + 4)
+    if not 8 <= substeps_per_cycle <= most:
+        raise ValueError(f"substeps_per_cycle must be between 8 and {most} "
+                         "(2^60 // (cycles + 4))")
     if not 0 < pulse_width <= 0.25 * system.clock_period:  # NaN fails too
         raise ValueError("pulse_width must be positive and well under a cycle")
     work = sum(2 * length for n in (substeps_per_cycle, 2 * substeps_per_cycle)
@@ -312,8 +311,7 @@ def reference_integrate(
             f"substep doubling moved the propagator by {diff:.3e} "
             f"(> {_CONVERGENCE_TOL:.1e}); raise substeps_per_cycle"
         )
-    total_time = schedule.num_cycles * system.clock_period
-    return _frame_phases(system, total_time)[:, None] * fine
+    return _frame_phases(system, schedule.num_cycles)[:, None] * fine
 
 
 def _cf4_plan(

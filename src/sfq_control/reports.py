@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from . import __version__
 from .config import ExperimentConfig, build_system
 from .files import atomic_open
-from .metrics import avg_leakage, gate_breakdown
+from .metrics import gate_breakdown
 from .propagate import PulseSchedule, evolve_full, precompute
 from .search import SearchResult, evaluate_fitness
 
@@ -73,11 +73,9 @@ def evaluate_gate(
         breakdown = evaluate_fitness(cycles, schedule, target, cfg.ga.metric)
     else:
         schedule, breakdown = search.best.schedule(), search.breakdown
-    leak = avg_leakage(evolve_full(cycles, schedule), system)
-
-    wide_system = build_system(cfg, n_sim_levels=cfg.n_sim_levels + 2)
-    wide_cycles = precompute(wide_system)
-    wide = gate_breakdown(evolve_full(wide_cycles, schedule), wide_system, target)
+    wide_cycles = precompute(build_system(cfg, n_sim_levels=cfg.n_sim_levels + 2))
+    sim, wide = (gate_breakdown(evolve_full(c, schedule), c.system, target)
+                 for c in (cycles, wide_cycles))
 
     fitness = breakdown.value(cfg.ga.metric)
     bitstreams = dict(zip(cfg.channel_keys(), schedule.bitstrings()))
@@ -96,7 +94,7 @@ def evaluate_gate(
         error=1.0 - fitness,
         f1=breakdown.f1,
         f2=breakdown.f2,
-        leakage=leak,
+        leakage=sim.leakage,
         norm_loss=breakdown.norm_loss,
         z_angles=breakdown.z_angles,
         f1_wide=wide.f1,

@@ -166,7 +166,7 @@ class _FitnessEngine:
         self.config = config
         self.cycles = precompute(system)
         self.comp = system.comp_indices
-        phases = _frame_phases(system, num_cycles * system.clock_period)
+        phases = _frame_phases(system, num_cycles)
         self.frame = phases[system.learn_indices][self.comp]
         self.start = np.zeros((system.dim_learn, system.dim_comp), dtype=complex)
         self.start[self.comp, np.arange(system.dim_comp)] = 1.0

@@ -9,6 +9,7 @@ simulation levels exist to expose leakage honestly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -127,9 +128,21 @@ class CoupledSystem:
 
         object.__setattr__(self, "qubits", tuple(self.qubits))
         object.__setattr__(self, "channels", tuple(self.channels))
-        object.__setattr__(self, "h_static", self._build_static())
-        object.__setattr__(self, "bare_energies", self._build_bare())
-        learn, comp = self._index_maps()
+        # levels[i, q]: level of qubit q in composite state i, qubit 0 major
+        # (the np.kron order).  Every per-state quantity is read from it.
+        nq = self.num_qubits
+        levels = np.indices((self.n_sim_levels,) * nq).reshape(nq, -1).T
+        energies = np.stack([q.energies[: self.n_sim_levels] for q in self.qubits])
+        bare = energies[np.arange(nq), levels].sum(axis=1)
+        h = np.diag(bare)
+        if self.j_coupling != 0.0:  # two qubits, checked above
+            low0, low1 = self._lowering_unit(0), self._lowering_unit(1)
+            h += self.j_coupling * (np.kron(low0, low1.T) + np.kron(low0.T, low1))
+        learn = np.flatnonzero(np.all(levels < self.n_levels, axis=1))
+        # computational states, indexed within the learning subspace
+        comp = np.flatnonzero(np.all(levels[learn] < 2, axis=1))
+        object.__setattr__(self, "h_static", h)
+        object.__setattr__(self, "bare_energies", bare)
         object.__setattr__(self, "learn_indices", learn)
         object.__setattr__(self, "comp_indices", comp)
 
@@ -151,9 +164,6 @@ class CoupledSystem:
         return 2**self.num_qubits
 
     # -- construction helpers ---------------------------------------------
-    def _energies(self, q: int) -> np.ndarray:
-        return self.qubits[q].energies[: self.n_sim_levels]
-
     def _charge(self, q: int) -> np.ndarray:
         return self.qubits[q].charge[: self.n_sim_levels - 1]
 
@@ -167,40 +177,8 @@ class CoupledSystem:
         return np.diag(self._charge(q), 1) + np.diag(self._charge(q), -1)
 
     def _embed(self, op: np.ndarray, q: int) -> np.ndarray:
-        if self.num_qubits == 1:
-            return op
         eye = np.eye(self.n_sim_levels)
-        return np.kron(op, eye) if q == 0 else np.kron(eye, op)
-
-    def _build_static(self) -> np.ndarray:
-        h = np.zeros((self.dim_sim, self.dim_sim))
-        for q in range(self.num_qubits):
-            h += self._embed(np.diag(self._energies(q)), q)
-        if self.num_qubits == 2 and self.j_coupling != 0.0:
-            low0 = self._lowering_unit(0)
-            low1 = self._lowering_unit(1)
-            h += self.j_coupling * (np.kron(low0, low1.T) + np.kron(low0.T, low1))
-        return h
-
-    def _build_bare(self) -> np.ndarray:
-        """Uncoupled level energies per composite index (rest-frame rates)."""
-        if self.num_qubits == 1:
-            return self._energies(0).copy()
-        e0, e1 = self._energies(0), self._energies(1)
-        return (e0[:, None] + e1[None, :]).ravel()
-
-    def _index_maps(self) -> tuple[np.ndarray, np.ndarray]:
-        ns, nl = self.n_sim_levels, self.n_levels
-        if self.num_qubits == 1:
-            learn = np.arange(nl)
-        else:
-            learn = np.array([i * ns + k for i in range(nl) for k in range(nl)])
-        # Computational block, indexed within the learning subspace ordering.
-        if self.num_qubits == 1:
-            comp = np.array([0, 1])
-        else:
-            comp = np.array([0, 1, nl, nl + 1])
-        return learn, comp
+        return reduce(np.kron, [op if p == q else eye for p in range(self.num_qubits)])
 
     def projector_learn(self) -> np.ndarray:
         """Diagonal 0/1 projector onto the learning subspace (full space)."""
@@ -236,6 +214,12 @@ def assemble(
 
 # -- kicks ------------------------------------------------------------------
 
+def _expm_herm(h: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """exp(-1j * scale * h) for Hermitian h via eigendecomposition."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * scale * w)) @ v.conj().T
+
+
 def kick_generator(system: CoupledSystem, channel: ControlChannel) -> np.ndarray:
     """Hermitian generator of one pulse on one channel, full composite space.
 
@@ -252,9 +236,7 @@ def kick_generator(system: CoupledSystem, channel: ControlChannel) -> np.ndarray
 
 def _kick_unitary(system: CoupledSystem, qubit: int, axis: str) -> np.ndarray:
     idx = system.channel_index(qubit, axis)
-    gen = kick_generator(system, system.channels[idx])
-    w, v = np.linalg.eigh(gen)
-    return (v * np.exp(-1j * w)) @ v.conj().T
+    return _expm_herm(kick_generator(system, system.channels[idx]))
 
 
 def x_kick_unitary(system: CoupledSystem, qubit: int) -> np.ndarray:

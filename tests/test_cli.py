@@ -452,23 +452,38 @@ class TestSpectrumAndOracle:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
 
-    def test_oracle_refuses_unbounded_work(self):
-        # about 5e11 matrix exponentials: refused before integrating, in a
-        # child process so a run that does integrate is killed, not waited on
+    @staticmethod
+    def _refused(*flags):
+        """Run oracle on the regression config in a child process, so a run
+        that does integrate is killed, not waited on; check it exits 2 at
+        once with one error line."""
         root = Path(__file__).parent.parent
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
         t0 = time.perf_counter()
         run = subprocess.run(
             [sys.executable, "-m", "sfq_control.cli", "oracle",
-             "--config", str(root / "tests" / "data" / "regression.ini"),
-             "--cycles", "3", "--substeps", "100000000000"],
+             "--config", str(root / "tests" / "data" / "regression.ini"), *flags],
             capture_output=True, text=True, env=env, timeout=10,
         )
         assert time.perf_counter() - t0 < 2.0
         assert run.returncode == 2
         assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
         assert run.stdout == ""
+
+    def test_oracle_refuses_unbounded_work(self):
+        # about 5e11 matrix exponentials: refused before integrating
+        self._refused("--cycles", "3", "--substeps", "100000000000")
+
+    @pytest.mark.parametrize("flags", [
+        # 3 x 1e20 substeps cannot be indexed in int64
+        ("--cycles", "3", "--substeps", "100000000000000000000"),
+        # 2^61 substeps: the doubled run's window end, about 1.5e19, would
+        # wrap to a negative int64 and a negative work count
+        ("--cycles", "1", "--substeps", str(2**61), "--pulse-width-ps", "2.0"),
+    ], ids=["1e20", "window-wrap"])
+    def test_oracle_refuses_substeps_past_int64(self, flags):
+        self._refused(*flags)
 
 
 class TestTopLevel:

@@ -352,6 +352,17 @@ class TestRunGa:
 
 
 class TestCheckpoint:
+    def test_fingerprint_is_pinned(self):
+        # A checkpoint resumes only under the fingerprint it was written
+        # with.  If this digest changes, old checkpoints no longer resume:
+        # bump _CHECKPOINT_VERSION along with the new digest.
+        cfg = parse_config(Path(__file__).parent / "data" / "regression.ini")
+        assert (cfg.target_name, cfg.num_cycles) == ("X", 100)
+        digest = search._fingerprint(build_system(cfg), cfg.target(), cfg.num_cycles)
+        assert digest == (
+            "524fba504542ec2b791dda2266369e29b94a80322d345adcd5c83e6e0d33b712"
+        )
+
     def test_round_trip(self, single_qubit_system, tiny_config, tmp_path):
         target = lookup_target("X")
         path = tmp_path / "ck.txt"

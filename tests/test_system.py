@@ -9,7 +9,51 @@ from conftest import GHZ, make_pair_system
 from sfq_control.system import kick_generator, lookup_target
 
 
+# (qubit type, number of qubits, n_levels, n_sim_levels): equal truncations
+# and n_levels = 2 included.
+SYSTEMS = [
+    (kind, nq, nl, ns)
+    for kind in ("transmon", "fluxonium")
+    for nq in (1, 2)
+    for nl, ns in ((2, 2), (2, 3), (3, 4), (4, 4), (3, 6))
+]
+
+
+def build(kind, nq, nl, ns):
+    if kind == "transmon":
+        qubits = [sc.transmon_levels(3.9 * GHZ, -0.225 * GHZ, ns),
+                  sc.transmon_levels(3.5 * GHZ, -0.225 * GHZ, ns)]
+    else:
+        qubits = [sc.fluxonium_levels(5.5 * GHZ, 1.5 * GHZ, 1.0 * GHZ, np.pi, ns),
+                  sc.fluxonium_levels(5.7 * GHZ, 1.2 * GHZ, 1.0 * GHZ, np.pi, ns)]
+    j = 0.05 * GHZ if nq == 2 else 0.0
+    return sc.assemble(qubits[:nq], nl, ns, j, [sc.ControlChannel(0, "x", 0.01)])
+
+
 class TestStaticHamiltonian:
+    @pytest.mark.parametrize("kind,nq,nl,ns", SYSTEMS)
+    def test_bare_energies_are_the_outer_sum(self, kind, nq, nl, ns):
+        system = build(kind, nq, nl, ns)
+        e = [q.energies[:ns] for q in system.qubits]
+        expected = e[0] if nq == 1 else np.add.outer(e[0], e[1]).ravel()
+        np.testing.assert_array_equal(system.bare_energies, expected)
+
+    @pytest.mark.parametrize("kind,nq,nl,ns", SYSTEMS)
+    def test_off_diagonal_is_exactly_the_exchange(self, kind, nq, nl, ns):
+        # <a, b|H|a+1, b-1> = J c0[a] c1[b-1] / (c0[0] c1[0]), and its mirror
+        system = build(kind, nq, nl, ns)
+        exchange = np.zeros((ns**nq, ns**nq))
+        if nq == 2:
+            c0, c1 = (q.charge[: ns - 1] for q in system.qubits)
+            for a in range(ns - 1):
+                for b in range(1, ns):
+                    v = system.j_coupling * (c0[a] / c0[0] * (c1[b - 1] / c1[0]))
+                    exchange[a * ns + b, (a + 1) * ns + b - 1] = v
+                    exchange[(a + 1) * ns + b - 1, a * ns + b] = v
+        np.testing.assert_array_equal(
+            system.h_static - np.diag(system.bare_energies), exchange
+        )
+
     def test_single_qubit_is_diagonal(self, transmon_pair):
         q0, _ = transmon_pair
         system = sc.assemble([q0], 3, 5, channels=[sc.ControlChannel(0, "x", 0.01)])
@@ -73,6 +117,18 @@ class TestStaticHamiltonian:
 
 
 class TestIndexMaps:
+    @pytest.mark.parametrize("kind,nq,nl,ns", SYSTEMS)
+    def test_index_maps_enumerated(self, kind, nq, nl, ns):
+        system = build(kind, nq, nl, ns)
+        if nq == 1:
+            learn, comp = list(range(nl)), [0, 1]
+        else:
+            learn = [i * ns + k for i in range(nl) for k in range(nl)]
+            comp = [0, 1, nl, nl + 1]
+        assert system.learn_indices.tolist() == learn
+        assert system.comp_indices.tolist() == comp
+        assert system.dim_sim == ns**nq and system.dim_learn == nl**nq
+
     def test_learning_and_computational_indices(self, transmon_pair):
         q0, q1 = transmon_pair
         system = make_pair_system(q0, q1, n_levels=5, n_sim=7)

@@ -27,7 +27,7 @@ from .config import (
     parse_config,
 )
 from .files import atomic_open
-from .metrics import agreement_f1
+from .metrics import METRICS, agreement_f1
 from .propagate import (
     ConvergenceError,
     PulseSchedule,
@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     learn.add_argument("--full-budget", action="store_true",
                        help=f"restore the full {FULL_MAX_ITERATIONS} iteration "
                             f"budget (default cap is {DESK_MAX_ITERATIONS})")
-    learn.add_argument("--metric", choices=("f1", "f2"), default=None,
+    learn.add_argument("--metric", choices=METRICS, default=None,
                        help="override the fitness metric")
     learn.add_argument("--checkpoint-every", type=int, default=0,
                        help="write a checkpoint every N iterations")
@@ -96,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--values", required=True,
                        help="comma-separated parameter values")
     sweep.add_argument("--max-iters", type=int, default=None)
-    sweep.add_argument("--metric", choices=("f1", "f2"), default=None)
+    sweep.add_argument("--metric", choices=METRICS, default=None)
     sweep.set_defaults(func=cmd_sweep)
 
     spectrum = sub.add_parser("spectrum", help="print the system spectrum")
@@ -247,20 +247,17 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--values must list at least one number")
     if not np.all(np.isfinite(values)):
         raise ConfigError("--values must be finite numbers")
-    # Validate every point up front so a typo fails before hours of search.
-    for v in values:
-        variant = _sweep_variant(cfg, args.param, v)
-        build_system(variant)
+    # Build every point up front so a typo fails before hours of search.
+    variants = [_sweep_variant(cfg, args.param, v) for v in values]
+    systems = [build_system(variant) for variant in variants]
 
     out = _out_dir(args, cfg)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "sweep.csv"
     rows = []
-    for i, value in enumerate(values):
-        variant = _sweep_variant(cfg, args.param, value)
+    for i, (value, variant, system) in enumerate(zip(values, variants, systems)):
         ga = replace(variant.ga, seed=cfg.ga.seed + i)
         try:
-            system = build_system(variant)
             result = run_ga(system, variant.target(), variant.num_cycles, ga)
             report = evaluate_gate(variant, search=result)
             rows.append([
@@ -326,8 +323,6 @@ def cmd_oracle(args) -> int:
     system = build_system(cfg)
     rng = np.random.default_rng(args.seed)
     schedule = PulseSchedule.random(rng, len(system.channels), args.cycles)
-    cycles = precompute(system)
-    u_delta = evolve_full(cycles, schedule)
     try:
         u_ref = reference_integrate(
             system,
@@ -340,6 +335,7 @@ def cmd_oracle(args) -> int:
         return EXIT_NO_CONVERGENCE
     except ValueError as exc:  # --substeps or --pulse-width-ps out of range
         raise ConfigError(str(exc)) from exc
+    u_delta = evolve_full(precompute(system), schedule)
     agree = agreement_f1(u_delta, u_ref)
     print(f"delta-kick vs finite-width pulses over {args.cycles} cycles "
           f"(tau = {args.pulse_width_ps} ps):")

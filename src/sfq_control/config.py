@@ -20,7 +20,7 @@ from .qubits import (
     transmon_levels,
 )
 from .search import GaConfig
-from .system import ControlChannel, CoupledSystem, GateTarget, assemble, lookup_target
+from .system import ControlChannel, CoupledSystem, GateTarget, lookup_target
 
 __all__ = [
     "ConfigError",
@@ -186,10 +186,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
     n_sim_levels = learning["n_sim_levels"]
     if n_sim_levels is None:
         n_sim_levels = n_levels + 2
-    if n_levels < 2:
-        raise ConfigError("n_levels must be at least 2")
-    if n_sim_levels < n_levels:
-        raise ConfigError("n_sim_levels must be >= n_levels")
 
     ga_kwargs = _read(cp, "ga", _SECTIONS["ga"])
     ga_kwargs["metric"] = ga_kwargs["metric"].lower()
@@ -297,15 +293,13 @@ def build_system(cfg: ExperimentConfig, n_sim_levels: int | None = None) -> Coup
     Parameters the physics rejects raise ConfigError.
     """
     n_sim = cfg.n_sim_levels if n_sim_levels is None else n_sim_levels
-    if n_sim < cfg.n_levels:
-        raise ConfigError("n_sim_levels must be >= n_levels")
     try:
         qubits = [_build_qubit(spec, n_sim) for spec in cfg.qubit_specs]
         channels = [
             ControlChannel(qubit=q, axis=axis, tip_angle=tip)
             for q, axis, tip in cfg.channels
         ]
-        return assemble(
+        return CoupledSystem(
             qubits,
             n_levels=cfg.n_levels,
             n_sim_levels=n_sim,

@@ -17,6 +17,7 @@ import numpy as np
 from .system import CoupledSystem, GateTarget
 
 __all__ = [
+    "METRICS",
     "FidelityBreakdown",
     "avg_fidelity_f1",
     "rz_fidelity_f2",
@@ -25,6 +26,13 @@ __all__ = [
     "gate_breakdown",
     "projected_breakdown",
 ]
+
+METRICS = ("f1", "f2")  # the fitness a search can optimize
+
+
+def _lost(block: np.ndarray) -> float:
+    """Average population a square block sheds: 1 - ||block||_F^2 / len."""
+    return 1.0 - float(np.sum(np.abs(block) ** 2)) / len(block)
 
 
 def _check_block(block: np.ndarray, target: GateTarget) -> np.ndarray:
@@ -126,8 +134,7 @@ def avg_leakage(u_full: np.ndarray, system: CoupledSystem) -> float:
             f"u_full must be {dim}x{dim} for n_sim_levels={system.n_sim_levels}"
         )
     idx = system.learn_indices[system.comp_indices]
-    block = u_full[np.ix_(idx, idx)]
-    return 1.0 - float(np.sum(np.abs(block) ** 2)) / system.dim_comp
+    return _lost(u_full[np.ix_(idx, idx)])
 
 
 def agreement_f1(a_block: np.ndarray, b_block: np.ndarray) -> float:
@@ -160,11 +167,9 @@ class FidelityBreakdown:
     leakage: float | None = None
 
     def value(self, metric: str) -> float:
-        if metric == "f1":
-            return self.f1
-        if metric == "f2":
-            return self.f2
-        raise ValueError(f"unknown metric {metric!r}")
+        if metric not in METRICS:
+            raise ValueError(f"unknown metric {metric!r}")
+        return getattr(self, metric)
 
 
 def gate_breakdown(
@@ -172,28 +177,25 @@ def gate_breakdown(
 ) -> FidelityBreakdown:
     """All metrics from one full-space evolution (consistent truncations)."""
     learn = system.learn_indices
-    m = u_full[np.ix_(learn, learn)]
-    norm_loss = 1.0 - float(np.sum(np.abs(m) ** 2)) / system.dim_learn
     return replace(
-        projected_breakdown(m, norm_loss, system, target),
+        projected_breakdown(u_full[np.ix_(learn, learn)], system, target),
         leakage=avg_leakage(u_full, system),
     )
 
 
 def projected_breakdown(
-    matrix: np.ndarray, norm_loss: float, system: CoupledSystem, target: GateTarget
+    matrix: np.ndarray, system: CoupledSystem, target: GateTarget
 ) -> FidelityBreakdown:
     """Metrics of a learning-space (projected) evolution; no leakage."""
     d = system.dim_learn
     if matrix.shape != (d, d):
         raise ValueError(f"matrix must be {d}x{d} (learning space), got {matrix.shape}")
     comp = system.comp_indices
-    block = matrix[np.ix_(comp, comp)]
-    f2, angles = rz_fidelity_f2(block, target)
+    block = _check_block(matrix[np.ix_(comp, comp)], target)[None]
+    f2, angles = _f2_batch(block, target.matrix)
     return FidelityBreakdown(
-        f1=avg_fidelity_f1(block, target),
-        f2=f2,
-        norm_loss=norm_loss,
-        z_angles=angles,
-        leakage=None,
+        f1=float(_f1_batch(block, target.matrix)[0]),
+        f2=float(f2[0]),
+        norm_loss=_lost(matrix),
+        z_angles=tuple(float(x) for x in angles[0]),
     )

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .files import atomic_open
+from .metrics import _lost
 from .system import CoupledSystem, _expm_herm, kick_generator
 
 __all__ = [
@@ -206,7 +207,10 @@ class EvolutionResult:
     """
 
     matrix: np.ndarray
-    norm_loss: float
+
+    @property
+    def norm_loss(self) -> float:
+        return _lost(self.matrix)
 
 
 def _check_schedule(system: CoupledSystem, schedule: PulseSchedule) -> None:
@@ -224,6 +228,13 @@ def _frame_phases(system: CoupledSystem, num_cycles: int) -> np.ndarray:
     return np.exp(1j * system.bare_energies * total_time)
 
 
+def _evolve(cycles: CycleUnitarySet, schedule: PulseSchedule, mats, rows) -> np.ndarray:
+    """The schedule chained over the cycle stack mats, in the frame of states rows."""
+    _check_schedule(cycles.system, schedule)
+    m = chain(mats, schedule.masks(), np.eye(mats.shape[1], dtype=complex))
+    return _frame_phases(cycles.system, schedule.num_cycles)[rows][:, None] * m
+
+
 def evolve_projected(
     cycles: CycleUnitarySet, schedule: PulseSchedule
 ) -> EvolutionResult:
@@ -232,22 +243,13 @@ def evolve_projected(
     Projecting each cycle and truncating commute (the projector sandwich
     telescopes), so this is a product of learning-block cycle matrices.
     """
-    system = cycles.system
-    _check_schedule(system, schedule)
-    d = system.dim_learn
-    m = chain(cycles.combos_learn, schedule.masks(), np.eye(d, dtype=complex))
-    phases = _frame_phases(system, schedule.num_cycles)[system.learn_indices]
-    m = phases[:, None] * m
-    norm_loss = 1.0 - float(np.sum(np.abs(m) ** 2)) / d
-    return EvolutionResult(matrix=m, norm_loss=norm_loss)
+    learn = cycles.system.learn_indices
+    return EvolutionResult(_evolve(cycles, schedule, cycles.combos_learn, learn))
 
 
 def evolve_full(cycles: CycleUnitarySet, schedule: PulseSchedule) -> np.ndarray:
     """Unprojected rest-frame evolution on the full simulation space (unitary)."""
-    system = cycles.system
-    _check_schedule(system, schedule)
-    u = chain(cycles.combos, schedule.masks(), np.eye(system.dim_sim, dtype=complex))
-    return _frame_phases(system, schedule.num_cycles)[:, None] * u
+    return _evolve(cycles, schedule, cycles.combos, slice(None))
 
 
 # -- continuous-pulse reference -----------------------------------------------
@@ -305,7 +307,7 @@ def reference_integrate(
 
     coarse = _cf4_run(system, schedule, pulse_width, substeps_per_cycle)
     fine = _cf4_run(system, schedule, pulse_width, 2 * substeps_per_cycle)
-    diff = float(np.max(np.abs(fine - coarse))) if coarse.size else 0.0
+    diff = float(np.max(np.abs(fine - coarse)))
     if diff > _CONVERGENCE_TOL:
         raise ConvergenceError(
             f"substep doubling moved the propagator by {diff:.3e} "

@@ -25,8 +25,7 @@ __all__ = [
 ]
 
 # Relative change on basis doubling above which the fluxonium basis is
-# considered unconverged (hard error); below _CONVERGED it is clean.
-_CONVERGED = 1e-6
+# considered unconverged (hard error).
 _DIVERGED = 1e-3
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .files import atomic_open
-from .metrics import FidelityBreakdown, _f1_batch, _f2_batch, projected_breakdown
+from .metrics import METRICS, FidelityBreakdown, _f1_batch, _f2_batch, projected_breakdown
 from .propagate import (
     CycleUnitarySet,
     PulseSchedule,
@@ -42,8 +42,6 @@ __all__ = [
     "read_checkpoint",
     "load_checkpoint",
 ]
-
-METRICS = ("f1", "f2")
 
 
 @dataclass(frozen=True)
@@ -118,8 +116,8 @@ def evaluate_fitness(
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
-    result = evolve_projected(cycles, schedule)
-    return projected_breakdown(result.matrix, result.norm_loss, cycles.system, target)
+    matrix = evolve_projected(cycles, schedule).matrix
+    return projected_breakdown(matrix, cycles.system, target)
 
 
 def crossover(
@@ -315,6 +313,8 @@ def _parse_checkpoint(cp: ConfigParser) -> dict:
         if any(len(row) != n for row in rows):
             raise CheckpointError(f"checkpoint bit rows of individual {i} are malformed")
         population[i] = PulseSchedule.from_bitstrings(rows).bits
+    if not np.all(np.isfinite(fitness)):
+        raise CheckpointError("checkpoint fitness values must be finite")
     ga = cp["ga"]
     config = GaConfig(**{f.name: type(f.default)(ga[f.name]) for f in fields(GaConfig)})
     return {
@@ -338,6 +338,9 @@ def load_checkpoint(
     state = read_checkpoint(path)
     if state["fingerprint"] != _fingerprint(system, target, num_cycles):
         raise CheckpointError("checkpoint was written for a different problem")
+    shape = (config.population_size, len(system.channels), num_cycles)
+    if state["population"].shape != shape:
+        raise CheckpointError(f"checkpoint population is not {shape} for this run")
     if replace(state["config"], max_iterations=config.max_iterations) != config:
         raise CheckpointError("checkpoint was written with different GA settings")
     return state
@@ -408,7 +411,7 @@ def run_ga(
         weights[order_desc] = rank_weights
         parents = rng.choice(p, size=s, replace=False, p=weights / weights.sum())
 
-        cuts = np.array([rng.integers(0, num_cycles + 1) for _ in range(s // 2)])
+        cuts = rng.integers(0, num_cycles + 1, size=s // 2)
         pairs = crossover(population[parents[0::2]], population[parents[1::2]], cuts)
         children = np.stack(pairs, axis=1).reshape(s, nch, num_cycles)
         flips = rng.random(size=children.shape) < config.mutation_probability

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Sequence
 
 import numpy as np
 
@@ -92,14 +91,16 @@ class CoupledSystem:
         exactly j_coupling.  Must be 0.0 for a single qubit.
     channels: drive lines, unique per (qubit, axis).
     clock_period: SFQ clock period in seconds (one bit per channel per tick).
+
+    qubits and channels may be any sequences; they are stored as tuples.
     """
 
     qubits: tuple[QubitLevels, ...]
     n_levels: int
     n_sim_levels: int
-    j_coupling: float
-    channels: tuple[ControlChannel, ...]
-    clock_period: float
+    j_coupling: float = 0.0
+    channels: tuple[ControlChannel, ...] = ()
+    clock_period: float = 8e-12
 
     # Derived, filled in __post_init__.
     h_static: np.ndarray = field(init=False, repr=False, compare=False)
@@ -108,10 +109,12 @@ class CoupledSystem:
     comp_indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "qubits", tuple(self.qubits))
+        object.__setattr__(self, "channels", tuple(self.channels))
         if not 1 <= len(self.qubits) <= 2:
             raise ValueError("system supports one or two qubits")
         if not 2 <= self.n_levels <= self.n_sim_levels:
-            raise ValueError("need 2 <= n_levels <= n_sim_levels")
+            raise ValueError("n_levels must be at least 2 and at most n_sim_levels")
         for q in self.qubits:
             if q.n_levels < self.n_sim_levels:
                 raise ValueError("qubit levels shorter than n_sim_levels")
@@ -126,8 +129,6 @@ class CoupledSystem:
             if c.qubit >= len(self.qubits):
                 raise ValueError(f"channel on absent qubit {c.qubit}")
 
-        object.__setattr__(self, "qubits", tuple(self.qubits))
-        object.__setattr__(self, "channels", tuple(self.channels))
         # levels[i, q]: level of qubit q in composite state i, qubit 0 major
         # (the np.kron order).  Every per-state quantity is read from it.
         nq = self.num_qubits
@@ -193,23 +194,7 @@ class CoupledSystem:
         raise KeyError(f"no channel {qubit}:{axis}")
 
 
-def assemble(
-    qubits: Sequence[QubitLevels],
-    n_levels: int,
-    n_sim_levels: int,
-    j_coupling: float = 0.0,
-    channels: Sequence[ControlChannel] = (),
-    clock_period: float = 8e-12,
-) -> CoupledSystem:
-    """Build a CoupledSystem; thin validated constructor."""
-    return CoupledSystem(
-        qubits=tuple(qubits),
-        n_levels=n_levels,
-        n_sim_levels=n_sim_levels,
-        j_coupling=j_coupling,
-        channels=tuple(channels),
-        clock_period=clock_period,
-    )
+assemble = CoupledSystem  # the library's name for the validated constructor
 
 
 # -- kicks ------------------------------------------------------------------

@@ -208,7 +208,8 @@ class TestLearn:
     @pytest.mark.parametrize(
         "case",
         ["missing", "foreign", "truncated", "version_1", "other_problem",
-         "other_settings"],
+         "other_settings", "population_size", "num_channels", "nan_fitness",
+         "inf_fitness"],
     )
     def test_bad_resume_exits_2_without_outputs(
         self, fast_config, tmp_path, capsys, case
@@ -228,6 +229,16 @@ class TestLearn:
             ck.write_text(ck.read_text().replace("version = 2", "version = 1"))
         elif case == "other_problem":
             config = write_variant(tmp_path, "time_ns = 0.32", "time_ns = 0.4")
+        elif case == "population_size":  # [meta] only; [ga] keeps 20
+            ck.write_text(ck.read_text().replace(
+                "population_size = 20", "population_size = 19", 1))
+        elif case == "num_channels":
+            ck.write_text(ck.read_text().replace("num_channels = 2", "num_channels = 1"))
+        elif case.endswith("_fitness"):
+            text = ck.read_text()
+            old = text.split("fitness_0 = ")[1].split("\n")[0]
+            ck.write_text(text.replace(f"fitness_0 = {old}",
+                                       f"fitness_0 = {case[:3]}"))
         else:
             extra = ["--seed", "4"]
         capsys.readouterr()
@@ -451,6 +462,18 @@ class TestSpectrumAndOracle:
             assert cli.main(["oracle", "--config", str(fast_config), *flags]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_oracle_refuses_before_the_delta_kick_chain(
+        self, fast_config, capsys, monkeypatch
+    ):
+        def never(*args):
+            raise AssertionError("evolve_full ran for a refused request")
+
+        monkeypatch.setattr(cli, "evolve_full", never)
+        code = cli.main(["oracle", "--config", str(fast_config), "--substeps", "4"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     @staticmethod
     def _refused(*flags):

@@ -67,7 +67,7 @@ class TestF1:
         u = np.zeros((9, 9), complex)
         comp = [0, 1, 3, 4]
         u[np.ix_(comp, comp)] = lookup_target("CZ").matrix
-        bd = projected_breakdown(u, 0.0, system, lookup_target("CZ"))
+        bd = projected_breakdown(u, system, lookup_target("CZ"))
         assert bd.f1 == pytest.approx(1.0)
 
     def test_validation(self, transmon_pair):
@@ -77,9 +77,9 @@ class TestF1:
             score_f2(np.eye(4), "I")
         system = assemble(transmon_pair, 2, 3, 0.05 * GHZ)
         with pytest.raises(ValueError, match="learning space"):
-            projected_breakdown(np.eye(9), 0.0, system, lookup_target("CZ"))
+            projected_breakdown(np.eye(9), system, lookup_target("CZ"))
         with pytest.raises(ValueError, match="computational block"):
-            projected_breakdown(np.eye(4), 0.0, system, lookup_target("X"))
+            projected_breakdown(np.eye(4), system, lookup_target("X"))
 
 
 def brute_force_f2(a, target, n_grid=480):

@@ -228,8 +228,11 @@ def cmd_evaluate(args) -> int:
 
 def _sweep_variant(cfg: ExperimentConfig, param: str, value: float) -> ExperimentConfig:
     if param == "tip_angle":
-        channels = tuple((q, ax, value) for q, ax, _ in cfg.channels)
-        return replace(cfg, channels=channels)
+        try:
+            return replace(cfg, channels=tuple(
+                replace(c, tip_angle=value) for c in cfg.channels))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     if param == "gate_time_ns":
         return replace(cfg, time_ns=value)  # checked against the clock grid
     if cfg.num_qubits != 2:
@@ -254,7 +257,7 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args, cfg)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "sweep.csv"
-    rows = []
+    rows = [["value", "error_f1", "error_f2", "leakage", "iterations", "seconds"]]
     for i, (value, variant, system) in enumerate(zip(values, variants, systems)):
         ga = replace(variant.ga, seed=cfg.ga.seed + i)
         try:
@@ -275,12 +278,8 @@ def cmd_sweep(args) -> int:
             rows.append([repr(value), "", "", "", "", ""])
             print(f"warning: point {args.param} = {value} failed: {exc}",
                   file=sys.stderr)
-    with atomic_open(csv_path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["value", "error_f1", "error_f2", "leakage", "iterations", "seconds"]
-        )
-        writer.writerows(rows)
+        with atomic_open(csv_path) as fh:  # every finished point survives a stop
+            csv.writer(fh).writerows(rows)
     print(f"sweep written to {csv_path}")
     return EXIT_OK
 
@@ -295,7 +294,7 @@ def cmd_spectrum(args) -> int:
               + ", ".join(f"{x:.6f}" for x in ghz))
         if system.n_sim_levels >= 3:
             anh = q.anharmonicity() / GHZ
-            ratio = q.energies[2] / q.energies[1] - 1.0 if q.energies[1] else 0.0
+            ratio = q.energies[2] / q.energies[1] - 1.0
             print(f"  anharmonicity (GHz): {anh:.6f}  w12/w01 - 1: {ratio:.6f}")
         charges = q.charge[: system.n_sim_levels - 1]
         print("  charge ratios c[k]/c[0]: "

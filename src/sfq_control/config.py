@@ -84,7 +84,7 @@ class ExperimentConfig:
 
     qubit_specs: tuple[dict, ...]
     j_ghz: float
-    channels: tuple[tuple[int, str, float], ...]  # (qubit, axis, tip_angle)
+    channels: tuple[ControlChannel, ...]  # sorted by (qubit, axis)
     target_name: str
     time_ns: float
     clock_ps: float
@@ -124,7 +124,7 @@ class ExperimentConfig:
         return lookup_target(self.target_name)
 
     def channel_keys(self) -> list[str]:
-        return [f"{q}:{axis}" for q, axis, _ in self.channels]
+        return [c.key for c in self.channels]
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -231,9 +231,7 @@ def _parse_qubit(cp: ConfigParser, section: str) -> dict:
     return {key: value for key, value in values.items() if value is not None}
 
 
-def _parse_channels(
-    cp: ConfigParser, num_qubits: int
-) -> tuple[tuple[int, str, float], ...]:
+def _parse_channels(cp: ConfigParser, num_qubits: int) -> tuple[ControlChannel, ...]:
     channels = []
     for key in cp.options("channels"):
         if key not in _CHANNEL_KEYS:
@@ -243,10 +241,14 @@ def _parse_channels(
         axis, qubit = key[0], int(key[1])
         if qubit >= num_qubits:
             raise ConfigError(f"[channels] {key} targets an absent qubit")
-        channels.append((qubit, axis, _get(cp, "channels", key, float)))
+        tip = _get(cp, "channels", key, float)
+        try:
+            channels.append(ControlChannel(qubit, axis, tip))
+        except ValueError as exc:
+            raise ConfigError(f"[channels] {key}: {exc}") from exc
     if not channels:
         raise ConfigError("[channels] must define at least one channel")
-    channels.sort(key=lambda c: (c[0], c[1]))
+    channels.sort(key=lambda c: (c.qubit, c.axis))
     return tuple(channels)
 
 
@@ -287,24 +289,17 @@ def _build_qubit(spec: dict, n_levels: int) -> QubitLevels:
     return builder(*args, n_levels, **options)
 
 
-def build_system(cfg: ExperimentConfig, n_sim_levels: int | None = None) -> CoupledSystem:
-    """Materialize the CoupledSystem, optionally at a wider truncation.
-
-    Parameters the physics rejects raise ConfigError.
-    """
-    n_sim = cfg.n_sim_levels if n_sim_levels is None else n_sim_levels
+def build_system(cfg: ExperimentConfig) -> CoupledSystem:
+    """Materialize the CoupledSystem; parameters the physics rejects raise
+    ConfigError."""
     try:
-        qubits = [_build_qubit(spec, n_sim) for spec in cfg.qubit_specs]
-        channels = [
-            ControlChannel(qubit=q, axis=axis, tip_angle=tip)
-            for q, axis, tip in cfg.channels
-        ]
+        qubits = [_build_qubit(spec, cfg.n_sim_levels) for spec in cfg.qubit_specs]
         return CoupledSystem(
             qubits,
             n_levels=cfg.n_levels,
-            n_sim_levels=n_sim,
+            n_sim_levels=cfg.n_sim_levels,
             j_coupling=cfg.j_ghz * GHZ,
-            channels=channels,
+            channels=cfg.channels,
             clock_period=cfg.clock_period,
         )
     except ValueError as exc:

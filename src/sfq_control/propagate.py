@@ -104,10 +104,6 @@ class PulseSchedule:
         """One '0'/'1' text row per channel (inverse of from_bitstrings)."""
         return [(row + ord("0")).tobytes().decode("ascii") for row in self.bits]
 
-    def masks(self) -> np.ndarray:
-        """Per-cycle channel mask (bit c set when channel c fires)."""
-        return pack_words(self.bits, 1)
-
 
 # -- precomputed cycle unitaries ----------------------------------------------
 
@@ -228,11 +224,13 @@ def _frame_phases(system: CoupledSystem, num_cycles: int) -> np.ndarray:
     return np.exp(1j * system.bare_energies * total_time)
 
 
-def _evolve(cycles: CycleUnitarySet, schedule: PulseSchedule, mats, rows) -> np.ndarray:
-    """The schedule chained over the cycle stack mats, in the frame of states rows."""
-    _check_schedule(cycles.system, schedule)
-    m = chain(mats, schedule.masks(), np.eye(mats.shape[1], dtype=complex))
-    return _frame_phases(cycles.system, schedule.num_cycles)[rows][:, None] * m
+def _evolve(
+    system: CoupledSystem, tables: list[np.ndarray], bits: np.ndarray, start, rows
+) -> np.ndarray:
+    """The one delta-kick evolution body: start chained along bits by the
+    word tables (chain_bits), in the rest frame of the states rows."""
+    m = chain_bits(tables, bits, start)
+    return m * _frame_phases(system, bits.shape[-1])[rows][:, None]
 
 
 def evolve_projected(
@@ -243,13 +241,19 @@ def evolve_projected(
     Projecting each cycle and truncating commute (the projector sandwich
     telescopes), so this is a product of learning-block cycle matrices.
     """
-    learn = cycles.system.learn_indices
-    return EvolutionResult(_evolve(cycles, schedule, cycles.combos_learn, learn))
+    system = cycles.system
+    _check_schedule(system, schedule)
+    m = _evolve(system, [cycles.combos_learn], schedule.bits,
+                np.eye(system.dim_learn, dtype=complex), system.learn_indices)
+    return EvolutionResult(m)
 
 
 def evolve_full(cycles: CycleUnitarySet, schedule: PulseSchedule) -> np.ndarray:
     """Unprojected rest-frame evolution on the full simulation space (unitary)."""
-    return _evolve(cycles, schedule, cycles.combos, slice(None))
+    system = cycles.system
+    _check_schedule(system, schedule)
+    return _evolve(system, [cycles.combos], schedule.bits,
+                   np.eye(system.dim_sim, dtype=complex), slice(None))
 
 
 # -- continuous-pulse reference -----------------------------------------------

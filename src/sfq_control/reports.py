@@ -9,7 +9,7 @@ Floats are written with repr and parse back to the identical float64.
 from __future__ import annotations
 
 from configparser import ConfigParser
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from . import __version__
 from .config import ExperimentConfig, build_system
@@ -73,7 +73,7 @@ def evaluate_gate(
         breakdown = evaluate_fitness(cycles, schedule, target, cfg.ga.metric)
     else:
         schedule, breakdown = search.best.schedule(), search.breakdown
-    wide_cycles = precompute(build_system(cfg, n_sim_levels=cfg.n_sim_levels + 2))
+    wide_cycles = precompute(build_system(replace(cfg, n_sim_levels=cfg.n_sim_levels + 2)))
     sim, wide = (gate_breakdown(evolve_full(c, schedule), c.system, target)
                  for c in (cycles, wide_cycles))
 

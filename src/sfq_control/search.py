@@ -22,8 +22,7 @@ from .metrics import METRICS, FidelityBreakdown, _f1_batch, _f2_batch, projected
 from .propagate import (
     CycleUnitarySet,
     PulseSchedule,
-    _frame_phases,
-    chain_bits,
+    _evolve,
     evolve_projected,
     precompute,
     word_tables,
@@ -149,12 +148,11 @@ _TABLE_ENTRIES = 256
 class _FitnessEngine:
     """Evolves only the computational columns of every candidate at once.
 
-    Identical math to evolve_projected (the projector sandwich telescopes to
-    a product of learning-block matrices), chained k cycles per product from
-    word tables built once per engine; products associate differently, so
-    scores differ from the canonical path by rounding only.  A score that
-    reaches the target is replaced by the canonical one before it is kept
-    (``final``), so the search stops on canonical scores only.
+    The evolution body of evolve_projected (``_evolve``), chained k cycles
+    per product from word tables built once per engine; products associate
+    differently, so scores differ from the canonical path by rounding only.
+    A score that reaches the target is replaced by the canonical one before
+    it is kept (``final``), so the search stops on canonical scores only.
     """
 
     def __init__(
@@ -164,10 +162,7 @@ class _FitnessEngine:
         self.config = config
         self.cycles = precompute(system)
         self.comp = system.comp_indices
-        phases = _frame_phases(system, num_cycles)
-        self.frame = phases[system.learn_indices][self.comp]
-        self.start = np.zeros((system.dim_learn, system.dim_comp), dtype=complex)
-        self.start[self.comp, np.arange(system.dim_comp)] = 1.0
+        self.start = np.eye(system.dim_learn, dtype=complex)[:, self.comp]
         nch = len(system.channels)
         k = 1
         while 2 * k <= num_cycles and 1 << (2 * k * nch) <= _TABLE_ENTRIES:
@@ -179,9 +174,10 @@ class _FitnessEngine:
 
     def _fitness_batch(self, bits: np.ndarray) -> np.ndarray:
         start = np.broadcast_to(self.start, (len(bits), *self.start.shape))
-        m = chain_bits(self.tables, bits, start)
+        system = self.cycles.system
+        m = _evolve(system, self.tables, bits, start, system.learn_indices)
         # C order, so each row's metric sums run alike in any batch
-        a = np.ascontiguousarray(m[:, self.comp, :]) * self.frame[None, :, None]
+        a = np.ascontiguousarray(m[:, self.comp, :])
         if self.config.metric == "f1":
             return _f1_batch(a, self.target.matrix)
         return _f2_batch(a, self.target.matrix)[0]
@@ -236,7 +232,7 @@ def _fingerprint(system: CoupledSystem, target: GateTarget, num_cycles: int) -> 
     h.update(np.asarray(system.bare_energies).tobytes())
     h.update(target.matrix.tobytes())
     for c in system.channels:
-        h.update(f"{c.qubit}:{c.axis}:{c.tip_angle!r}".encode())
+        h.update(f"{c.key}:{c.tip_angle!r}".encode())
     h.update(f"{system.n_levels}:{system.n_sim_levels}:{num_cycles}".encode())
     h.update(f"{system.clock_period!r}".encode())
     return h.hexdigest()

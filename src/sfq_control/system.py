@@ -191,7 +191,7 @@ class CoupledSystem:
         for i, c in enumerate(self.channels):
             if c.qubit == qubit and c.axis == axis:
                 return i
-        raise KeyError(f"no channel {qubit}:{axis}")
+        raise KeyError(f"no {axis} channel on qubit {qubit}")
 
 
 assemble = CoupledSystem  # the library's name for the validated constructor

@@ -5,7 +5,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).parent.parent / "sfqbench" / "spans.py"
+from sfq_control.search import GaConfig
+
+BENCH = Path(__file__).parent.parent / "sfqbench"
+SPANS = BENCH / "spans.py"
+DATA = Path(__file__).parent / "data"
 
 
 def test_every_traced_attribute_resolves(monkeypatch):
@@ -19,3 +23,30 @@ def test_every_traced_attribute_resolves(monkeypatch):
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert spans.WRAPS and not missing, missing
+
+
+def test_every_span_row_fires(monkeypatch, tmp_path):
+    """Each span-based per-layer row of the benchmark is fed by a call the
+    program really makes on the CLI and search paths."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+    spans = importlib.import_module("spans")
+    from sfq_control import cli, config, search
+
+    ini = str(DATA / "regression.ini")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        cli.main(["learn", "--config", ini, "--out-dir", str(tmp_path / "learn"),
+                  "--max-iters", "2", "--checkpoint-every", "1"])
+        cli.main(["evaluate", "--config", ini, "--out-dir", str(tmp_path / "evaluate"),
+                  "--bitstream", str(DATA / "regression_bitstream.txt")])
+        cli.main(["oracle", "--config", ini, "--cycles", "3"])
+        cfg = config.parse_config(ini)
+        search.run_ga(config.build_system(cfg), cfg.target(), 4, GaConfig(
+            population_size=4, selection_size=2, max_iterations=1))
+    finally:
+        tracer.remove()
+    fired = {span.name for span in tracer.spans}
+    silent = {span for span, _ in layers._SPAN_ROWS.values()} - fired
+    assert not tracer.missing and not silent, (tracer.missing, silent)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import sfq_control as sc
 from conftest import GHZ
-from sfq_control.propagate import chain, chain_bits, word_tables
+from sfq_control.propagate import chain, chain_bits, pack_words, word_tables
 from sfq_control.system import kick_generator
 
 TABLE_ENTRIES = 256  # the word-table size the search allows itself
@@ -64,7 +64,7 @@ def test_unbatched_chain_is_the_stepwise_loop(problem):
     system, bits = problem
     cycles = sc.precompute(system)
     for row in bits:
-        masks = sc.PulseSchedule(row).masks()
+        masks = pack_words(row, 1)
         for mats in (cycles.combos, cycles.combos_learn):
             eye = np.eye(mats.shape[1], dtype=complex)
             assert np.array_equal(chain(mats, masks, eye), stepwise(mats, row))
@@ -77,7 +77,7 @@ def test_word_tables_agree_with_single_cycles(problem):
     mats = sc.precompute(system).combos_learn
     d = mats.shape[1]
     start = np.broadcast_to(np.eye(d, dtype=complex), (len(bits), d, d))
-    single = [chain(mats, sc.PulseSchedule(row).masks(), np.eye(d)) for row in bits]
+    single = [chain(mats, pack_words(row, 1), np.eye(d)) for row in bits]
     for k in word_sizes(bits.shape[1]):
         got = chain_bits(word_tables(mats, k), bits, start)
         for b in range(len(bits)):

@@ -373,6 +373,31 @@ class TestSweep:
         assert lines[2] == "0.025,,,,,"
         assert "solver blew up" in capsys.readouterr().err
 
+    def test_interrupt_keeps_finished_points(self, fast_config, tmp_path, monkeypatch):
+        from sfq_control.search import run_ga as real_run_ga
+
+        calls = []
+
+        def interrupted(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real_run_ga(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_ga", interrupted)
+        out = tmp_path / "sweep"
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(
+                ["sweep", "--config", str(fast_config), "--out-dir", str(out),
+                 "--param", "tip_angle", "--values", "0.02,0.025,0.03",
+                 "--max-iters", "10"]
+            )
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0] == "value,error_f1,error_f2,leakage,iterations,seconds"
+        assert len(lines) == 2
+        assert lines[1].split(",")[0] == "0.02"
+        assert lines[1].split(",")[4] == "10"
+
     def test_programming_error_is_not_a_failed_point(
         self, fast_config, tmp_path, monkeypatch
     ):

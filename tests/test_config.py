@@ -1,5 +1,6 @@
 """INI experiment configs: defaults, unit conversion, strict rejection."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from sfq_control.config import (
     parse_config,
     parse_config_text,
 )
+from sfq_control.system import ControlChannel
 
 PAIR_CZ = """
 [qubit0]
@@ -78,7 +80,7 @@ class TestHappyPath:
         assert cfg.num_qubits == 1
         assert cfg.j_ghz == 0.0
         assert cfg.num_cycles == 625
-        assert cfg.channels == ((0, "x", 0.03),)
+        assert cfg.channels == (ControlChannel(0, "x", 0.03),)
 
     def test_explicit_sections(self):
         text = PAIR_CZ + """
@@ -188,17 +190,31 @@ class TestBuildSystem:
 
     def test_wider_truncation_override(self):
         cfg = parse_config_text(PAIR_CZ)
-        wide = build_system(cfg, n_sim_levels=9)
+        wide = build_system(replace(cfg, n_sim_levels=9))
         assert wide.n_sim_levels == 9
         assert wide.n_levels == cfg.n_levels
         with pytest.raises(ConfigError):
-            build_system(cfg, n_sim_levels=3)
+            build_system(replace(cfg, n_sim_levels=3))
 
     def test_channels_materialize(self):
         system = build_system(parse_config_text(SINGLE_X))
         assert len(system.channels) == 1
         assert system.channels[0].axis == "x"
         assert system.channels[0].tip_angle == 0.03
+
+    def test_channel_keys_are_sorted_and_match_the_system(self):
+        rng = np.random.default_rng(0)
+        for size in range(1, 5):
+            for _ in range(6):
+                names = rng.permutation(["x0", "z0", "x1", "z1"])[:size]
+                lines = "\n".join(f"{n} = 0.0{i + 1}" for i, n in enumerate(names))
+                cfg = parse_config_text(edit(PAIR_CZ, "z0 = 0.03\nz1 = 0.03", lines))
+                keys = cfg.channel_keys()
+                assert keys == [c.key for c in build_system(cfg).channels]
+                assert keys == sorted(keys) and len(keys) == size
+                tips = {f"{n[1]}:{n[0]}": float(f"0.0{i + 1}")
+                        for i, n in enumerate(names)}
+                assert [c.tip_angle for c in cfg.channels] == [tips[k] for k in keys]
 
 
 class TestRejection:

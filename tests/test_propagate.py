@@ -17,6 +17,7 @@ from sfq_control.propagate import (
     ConvergenceError,
     _cf4_run,
     _expm_herm,
+    pack_words,
 )
 from sfq_control.system import kick_generator
 
@@ -34,7 +35,7 @@ class TestSchedule:
     def test_masks(self):
         bits = np.array([[1, 0, 1, 0], [0, 0, 1, 1]], dtype=np.uint8)
         sch = sc.PulseSchedule(bits)
-        assert sch.masks().tolist() == [1, 0, 3, 2]
+        assert pack_words(sch.bits, 1).tolist() == [1, 0, 3, 2]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -113,7 +114,7 @@ class TestEvolve:
         res = sc.evolve_projected(cycles, sch)
         p = pair.projector_learn()
         u = np.eye(pair.dim_sim, dtype=complex)
-        for mask in sch.masks():
+        for mask in pack_words(sch.bits, 1):
             u = p @ cycles.combos[mask] @ p @ u
         t_total = sch.num_cycles * pair.clock_period
         u = np.exp(1j * pair.bare_energies * t_total)[:, None] * u

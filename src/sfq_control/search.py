@@ -141,7 +141,8 @@ def crossover(
 # -- batched fitness -----------------------------------------------------------
 
 # Entry cap of the search's word tables: a word packs k cycles of nch bits,
-# and 2^(nch * k) <= _TABLE_ENTRIES.
+# and 2^(nch * k) <= _TABLE_ENTRIES.  An entry is a matrix on the states the
+# engine chains (system.reach_indices), so its size does not enter the cap.
 _TABLE_ENTRIES = 256
 
 
@@ -149,10 +150,14 @@ class _FitnessEngine:
     """Evolves only the computational columns of every candidate at once.
 
     The evolution body of evolve_projected (``_evolve``), chained k cycles
-    per product from word tables built once per engine; products associate
-    differently, so scores differ from the canonical path by rounding only.
-    A score that reaches the target is replaced by the canonical one before
-    it is kept (``final``), so the search stops on canonical scores only.
+    per product from word tables built once per engine, on the learning
+    states the computational columns reach (``system.reach_indices``: 6 of
+    25 on a z-only pair at n_levels 5, every state with an x channel).  The
+    columns meet the dropped states only by rounding, and products
+    associate differently, so scores differ from the canonical path by
+    rounding only.  A score that reaches the target is replaced by the
+    canonical one, on the full learning block, before it is kept
+    (``final``), so the search stops on canonical scores only.
     """
 
     def __init__(
@@ -161,21 +166,22 @@ class _FitnessEngine:
         self.target = target
         self.config = config
         self.cycles = precompute(system)
-        self.comp = system.comp_indices
-        self.start = np.eye(system.dim_learn, dtype=complex)[:, self.comp]
+        reach = system.reach_indices
+        self.rows = system.learn_indices[reach]  # rest-frame rows of the chain
+        self.comp = np.searchsorted(reach, system.comp_indices)
+        self.start = np.eye(len(reach), dtype=complex)[:, self.comp]
         nch = len(system.channels)
         k = 1
         while 2 * k <= num_cycles and 1 << (2 * k * nch) <= _TABLE_ENTRIES:
             k *= 2
-        self.tables = word_tables(self.cycles.combos_learn, k)
+        self.tables = word_tables(self.cycles.combos_learn[:, reach][:, :, reach], k)
         self.cache: dict[bytes, float] = {}
         self.cache_cap = 100_000
         self.n_evaluations = 0
 
     def _fitness_batch(self, bits: np.ndarray) -> np.ndarray:
         start = np.broadcast_to(self.start, (len(bits), *self.start.shape))
-        system = self.cycles.system
-        m = _evolve(system, self.tables, bits, start, system.learn_indices)
+        m = _evolve(self.cycles.system, self.tables, bits, start, self.rows)
         # C order, so each row's metric sums run alike in any batch
         a = np.ascontiguousarray(m[:, self.comp, :])
         if self.config.metric == "f1":

@@ -107,6 +107,7 @@ class CoupledSystem:
     bare_energies: np.ndarray = field(init=False, repr=False, compare=False)
     learn_indices: np.ndarray = field(init=False, repr=False, compare=False)
     comp_indices: np.ndarray = field(init=False, repr=False, compare=False)
+    reach_indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "qubits", tuple(self.qubits))
@@ -142,10 +143,20 @@ class CoupledSystem:
         learn = np.flatnonzero(np.all(levels < self.n_levels, axis=1))
         # computational states, indexed within the learning subspace
         comp = np.flatnonzero(np.all(levels[learn] < 2, axis=1))
+        # learning states the computational columns can reach, indexed
+        # within the learning subspace: the exchange conserves total
+        # excitation and a z kick is a number-operator phase, so under z
+        # channels only no column climbs above the computational states' top
+        # excitation (nq); an x kick changes excitation by one.
+        if all(c.axis == "z" for c in self.channels):
+            reach = np.flatnonzero(levels[learn].sum(axis=1) <= nq)
+        else:
+            reach = np.arange(len(learn))
         object.__setattr__(self, "h_static", h)
         object.__setattr__(self, "bare_energies", bare)
         object.__setattr__(self, "learn_indices", learn)
         object.__setattr__(self, "comp_indices", comp)
+        object.__setattr__(self, "reach_indices", reach)
 
     # -- dimensions -------------------------------------------------------
     @property

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 import sfq_control as sc
 from conftest import GHZ
 from sfq_control.propagate import chain, chain_bits, pack_words, word_tables
+from sfq_control.search import _TABLE_ENTRIES
 from sfq_control.system import kick_generator
-
-TABLE_ENTRIES = 256  # the word-table size the search allows itself
 
 
 @st.composite
@@ -53,7 +52,7 @@ def stepwise(mats, bits):
 def word_sizes(nch):
     """Every power-of-two word size whose table fits the entry cap."""
     k = 1
-    while 1 << (nch * k) <= TABLE_ENTRIES:
+    while 1 << (nch * k) <= _TABLE_ENTRIES:
         yield k
         k *= 2
 

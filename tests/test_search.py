@@ -378,40 +378,32 @@ class TestCheckpoint:
         )
         assert state["fitness"].dtype == np.float64
 
-    def test_resume_is_bit_identical(self, single_qubit_system, tmp_path):
-        target = lookup_target("X")
-        base = dict(
-            population_size=16,
-            selection_size=10,
-            mutation_probability=0.01,
-            target_fidelity=1.0,
-            metric="f2",
-            seed=7,
-        )
-        straight = run_ga(
-            single_qubit_system, target, 30, GaConfig(max_iterations=40, **base)
-        )
-
+    @staticmethod
+    def assert_resume_is_bit_identical(system, target, num_cycles, tmp_path):
+        base = dict(population_size=16, selection_size=10, mutation_probability=0.01,
+                    target_fidelity=1.0, metric="f2", seed=7)
+        straight = run_ga(system, target, num_cycles, GaConfig(max_iterations=40, **base))
         path = tmp_path / "ck.txt"
-        run_ga(
-            single_qubit_system,
-            target,
-            30,
-            GaConfig(max_iterations=20, **base),
-            checkpoint_path=path,
-        )
-        resumed = run_ga(
-            single_qubit_system,
-            target,
-            30,
-            GaConfig(max_iterations=40, **base),
-            resume_from=path,
-        )
+        run_ga(system, target, num_cycles, GaConfig(max_iterations=20, **base),
+               checkpoint_path=path)
+        resumed = run_ga(system, target, num_cycles, GaConfig(max_iterations=40, **base),
+                         resume_from=path)
         np.testing.assert_array_equal(straight.best.bits, resumed.best.bits)
         assert straight.best.fitness == resumed.best.fitness
-        np.testing.assert_array_equal(
-            straight.history[20:], resumed.history
+        np.testing.assert_array_equal(straight.history[20:], resumed.history)
+
+    def test_resume_is_bit_identical(self, single_qubit_system, tmp_path):
+        self.assert_resume_is_bit_identical(
+            single_qubit_system, lookup_target("X"), 30, tmp_path
         )
+
+    def test_resume_is_bit_identical_on_a_cut_engine(self, transmon_pair, tmp_path):
+        # the search_z pair: one z channel, so the engine chains 6 of 25 states
+        system = make_pair_system(
+            *transmon_pair, j_ghz=0.1, channels=[ControlChannel(1, "z", 0.03)]
+        )
+        assert len(system.reach_indices) < system.dim_learn
+        self.assert_resume_is_bit_identical(system, lookup_target("CZ"), 125, tmp_path)
 
     def test_resume_rejects_other_problem(self, single_qubit_system, tmp_path):
         path = tmp_path / "ck.txt"
@@ -560,3 +552,55 @@ def test_checkpoint_round_trip_property(
     assert state["population"].dtype == np.uint8
     np.testing.assert_array_equal(state["population"], population)
     assert state["fitness"].tobytes() == fitness.tobytes()
+
+
+@st.composite
+def engine_problems(draw):
+    """A random 1-2 qubit system (transmon or fluxonium), z-only or mixed
+    channels, and a batch of schedules."""
+    kind = draw(st.sampled_from(["transmon", "fluxonium"]))
+    num_qubits = draw(st.integers(1, 2))
+    n_levels = draw(st.integers(2, 4))
+    n_sim = draw(st.integers(n_levels, n_levels + 1))
+
+    def qubit():
+        if kind == "transmon":
+            omega, alpha = draw(st.floats(3.0, 6.0)), draw(st.floats(-0.3, -0.1))
+            return sc.transmon_levels(omega * GHZ, alpha * GHZ, n_sim)
+        ej, ec = draw(st.sampled_from([(5.5, 1.5), (5.7, 1.2)]))
+        return sc.fluxonium_levels(ej * GHZ, ec * GHZ, 1.0 * GHZ, np.pi, n_sim)
+
+    qubits = [qubit() for _ in range(num_qubits)]
+    axes = ("z",) if draw(st.booleans()) else ("x", "z")
+    slots = [(q, axis) for q in range(num_qubits) for axis in axes]
+    chosen = draw(st.lists(st.sampled_from(slots), min_size=1, max_size=3, unique=True))
+    channels = [ControlChannel(q, axis, draw(st.floats(0.005, 0.5))) for q, axis in chosen]
+    j = draw(st.floats(0.0, 0.1)) * GHZ if num_qubits == 2 else 0.0
+    system = assemble(qubits, n_levels, n_sim, j, channels)
+    n = draw(st.integers(1, 40))
+    bits = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
+        0, 2, size=(3, len(channels), n), dtype=np.uint8
+    )
+    return system, bits
+
+
+@settings(max_examples=60, deadline=None)
+@given(engine_problems())
+def test_engine_chains_only_the_reachable_states(problem):
+    system, bits = problem
+    cycles = precompute(system)
+    reach = system.reach_indices
+    dropped = np.setdiff1d(np.arange(system.dim_learn), reach)
+    # the closure the level-table rule assumes: no cycle matrix carries a
+    # kept state into a dropped one
+    leak = cycles.combos_learn[:, dropped][:, :, reach]
+    assert np.max(np.abs(leak), initial=0.0) <= 1e-13
+    if any(c.axis == "x" for c in system.channels):
+        assert reach.tolist() == list(range(system.dim_learn))
+    target = lookup_target("CZ" if system.num_qubits == 2 else "X")
+    for metric in ("f1", "f2"):
+        engine = _FitnessEngine(system, target, bits.shape[-1], GaConfig(metric=metric))
+        batch = engine._fitness_batch(bits)
+        for row, score in zip(bits, batch):
+            ref = evaluate_fitness(cycles, PulseSchedule(row), target, metric)
+            assert abs(score - ref.value(metric)) <= 1e-12

@@ -143,6 +143,32 @@ class TestIndexMaps:
         assert system.learn_indices.tolist() == [0, 1]
         assert system.comp_indices.tolist() == [0, 1]
 
+    def test_z_only_pair_reaches_two_excitations(self, transmon_pair):
+        # the search_z shape: 00, 01, 02, 10, 11, 20 of the 25 learning states
+        system = make_pair_system(
+            *transmon_pair, n_levels=5, n_sim=7, channels=[sc.ControlChannel(1, "z", 0.03)]
+        )
+        assert system.reach_indices.tolist() == [0, 1, 2, 5, 6, 10]
+
+    def test_z_only_two_level_pair_reaches_every_state(self, transmon_pair):
+        system = make_pair_system(*transmon_pair, n_levels=2, n_sim=3)
+        assert system.reach_indices.tolist() == [0, 1, 2, 3]
+
+    def test_z_only_single_qubit_reaches_the_qubit(self, transmon_pair):
+        q0, _ = transmon_pair
+        system = sc.assemble([q0], 4, 5, channels=[sc.ControlChannel(0, "z", 0.03)])
+        assert system.reach_indices.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("x_qubit", [0, 1])
+    def test_any_x_channel_reaches_every_state(self, transmon_pair, x_qubit):
+        channels = [sc.ControlChannel(0, "z", 0.03), sc.ControlChannel(1, "z", 0.03),
+                    sc.ControlChannel(x_qubit, "x", 0.01)]
+        system = make_pair_system(*transmon_pair, n_levels=5, n_sim=7, channels=channels)
+        assert system.reach_indices.tolist() == list(range(25))
+        q0, _ = transmon_pair
+        single = sc.assemble([q0], 4, 5, channels=[sc.ControlChannel(0, "x", 0.03)])
+        assert single.reach_indices.tolist() == [0, 1, 2, 3]
+
     def test_projector(self, transmon_pair):
         q0, q1 = transmon_pair
         system = make_pair_system(q0, q1, n_levels=2, n_sim=3)

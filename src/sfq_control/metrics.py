@@ -31,8 +31,9 @@ METRICS = ("f1", "f2")  # the fitness a search can optimize
 
 
 def _lost(block: np.ndarray) -> float:
-    """Average population a square block sheds: 1 - ||block||_F^2 / len."""
-    return 1.0 - float(np.sum(np.abs(block) ** 2)) / len(block)
+    """Average population the columns of a block shed:
+    1 - ||block||_F^2 / number of columns."""
+    return 1.0 - float(np.sum(np.abs(block) ** 2)) / block.shape[1]
 
 
 def _check_block(block: np.ndarray, target: GateTarget) -> np.ndarray:
@@ -121,20 +122,27 @@ def _f2_batch(a: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return (gamma + g**2) / (d * (d + 1)), np.stack(angles, axis=1)
 
 
+def _comp_columns(u: np.ndarray, system: CoupledSystem) -> np.ndarray:
+    """The computational columns (dim_sim, 2^q) of a full-space evolution
+    given whole (dim_sim, dim_sim) or as just those columns."""
+    dim, idx = system.dim_sim, system.comp_sim_indices
+    if u.shape not in ((dim, dim), (dim, len(idx))):
+        raise ValueError(
+            f"evolution must be {dim}x{dim} or {dim}x{len(idx)} for "
+            f"n_sim_levels={system.n_sim_levels}, got {u.shape}"
+        )
+    return u if u.shape[1] == len(idx) else u[:, idx]
+
+
 def avg_leakage(u_full: np.ndarray, system: CoupledSystem) -> float:
     """Average population leaving the computational block.
 
     1 - tr(P U P U^dag P) / 2^q for the diagonal projector P onto the
-    computational indices of the full simulation space; u_full must be the
-    unprojected evolution.
+    computational indices of the full simulation space; u_full is the
+    unprojected evolution, whole or just its computational columns (as
+    ``evolve_full(cycles, schedule, system.comp_sim_indices)`` gives them).
     """
-    dim = system.dim_sim
-    if u_full.shape != (dim, dim):
-        raise ValueError(
-            f"u_full must be {dim}x{dim} for n_sim_levels={system.n_sim_levels}"
-        )
-    idx = system.learn_indices[system.comp_indices]
-    return _lost(u_full[np.ix_(idx, idx)])
+    return _lost(_comp_columns(u_full, system)[system.comp_sim_indices])
 
 
 def agreement_f1(a_block: np.ndarray, b_block: np.ndarray) -> float:
@@ -175,11 +183,17 @@ class FidelityBreakdown:
 def gate_breakdown(
     u_full: np.ndarray, system: CoupledSystem, target: GateTarget
 ) -> FidelityBreakdown:
-    """All metrics from one full-space evolution (consistent truncations)."""
-    learn = system.learn_indices
+    """All metrics from one full-space evolution (consistent truncations).
+
+    u_full is the unprojected evolution, whole or just its computational
+    columns; only those columns are read.  norm_loss here is the average
+    population the computational columns lose from the learning subspace.
+    """
+    cols = _comp_columns(u_full, system)
     return replace(
-        projected_breakdown(u_full[np.ix_(learn, learn)], system, target),
-        leakage=avg_leakage(u_full, system),
+        _block_breakdown(cols[system.comp_sim_indices], target,
+                         _lost(cols[system.learn_indices])),
+        leakage=avg_leakage(cols, system),
     )
 
 
@@ -191,11 +205,18 @@ def projected_breakdown(
     if matrix.shape != (d, d):
         raise ValueError(f"matrix must be {d}x{d} (learning space), got {matrix.shape}")
     comp = system.comp_indices
-    block = _check_block(matrix[np.ix_(comp, comp)], target)[None]
-    f2, angles = _f2_batch(block, target.matrix)
+    return _block_breakdown(matrix[np.ix_(comp, comp)], target, _lost(matrix))
+
+
+def _block_breakdown(
+    block: np.ndarray, target: GateTarget, norm_loss: float
+) -> FidelityBreakdown:
+    """f1, f2 and the Z angles of the computational block; no leakage."""
+    a = _check_block(block, target)[None]
+    f2, angles = _f2_batch(a, target.matrix)
     return FidelityBreakdown(
-        f1=float(_f1_batch(block, target.matrix)[0]),
+        f1=float(_f1_batch(a, target.matrix)[0]),
         f2=float(f2[0]),
-        norm_loss=_lost(matrix),
+        norm_loss=norm_loss,
         z_angles=tuple(float(x) for x in angles[0]),
     )

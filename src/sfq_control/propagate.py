@@ -248,12 +248,31 @@ def evolve_projected(
     return EvolutionResult(m)
 
 
-def evolve_full(cycles: CycleUnitarySet, schedule: PulseSchedule) -> np.ndarray:
-    """Unprojected rest-frame evolution on the full simulation space (unitary)."""
+def evolve_full(
+    cycles: CycleUnitarySet, schedule: PulseSchedule, columns=None
+) -> np.ndarray:
+    """Unprojected rest-frame evolution on the full simulation space.
+
+    columns=None gives the whole unitary (dim_sim, dim_sim).  Given start
+    states (full-space indices, all in ``system.sim_reach_indices``), it
+    gives just their columns (dim_sim, len(columns)), chained on the states
+    they reach; the rows outside the reach are exact zeros.  ValueError if
+    a column lies outside the reach.
+    """
     system = cycles.system
     _check_schedule(system, schedule)
-    return _evolve(system, [cycles.combos], schedule.bits,
-                   np.eye(system.dim_sim, dtype=complex), slice(None))
+    if columns is None:
+        return _evolve(system, [cycles.combos], schedule.bits,
+                       np.eye(system.dim_sim, dtype=complex), slice(None))
+    reach = system.sim_reach_indices
+    columns = np.asarray(columns)
+    if columns.ndim != 1 or not np.all(np.isin(columns, reach)):
+        raise ValueError("columns must be a list of states in system.sim_reach_indices")
+    start = np.eye(len(reach), dtype=complex)[:, np.searchsorted(reach, columns)]
+    out = np.zeros((system.dim_sim, len(columns)), dtype=complex)
+    out[reach] = _evolve(system, [cycles.combos[:, reach][:, :, reach]],
+                         schedule.bits, start, reach)
+    return out
 
 
 # -- continuous-pulse reference -----------------------------------------------

@@ -62,7 +62,10 @@ def evaluate_gate(
     schedule.  The learning-space numbers (fitness, f1, f2, norm_loss) come
     from the canonical path the search scores with (for a search, its own
     breakdown of the best); leakage and the *_wide row come from
-    unprojected evolutions at n_sim and n_sim + 2 levels.
+    unprojected evolutions at n_sim and n_sim + 2 levels.  Those read only
+    the computational columns, so only those columns are evolved, on the
+    states they reach (``system.sim_reach_indices``: every state with an x
+    channel, the 6 with at most two excitations on a z-only pair).
     """
     if (schedule is None) == (search is None):
         raise TypeError("pass either a schedule or a search result")
@@ -74,7 +77,8 @@ def evaluate_gate(
     else:
         schedule, breakdown = search.best.schedule(), search.breakdown
     wide_cycles = precompute(build_system(replace(cfg, n_sim_levels=cfg.n_sim_levels + 2)))
-    sim, wide = (gate_breakdown(evolve_full(c, schedule), c.system, target)
+    sim, wide = (gate_breakdown(evolve_full(c, schedule, c.system.comp_sim_indices),
+                                c.system, target)
                  for c in (cycles, wide_cycles))
 
     fitness = breakdown.value(cfg.ga.metric)

@@ -102,12 +102,15 @@ class CoupledSystem:
     channels: tuple[ControlChannel, ...] = ()
     clock_period: float = 8e-12
 
-    # Derived, filled in __post_init__.
+    # Derived, filled in __post_init__.  learn_indices and sim_reach_indices
+    # index the full simulation space; comp_indices and reach_indices index
+    # the learning subspace.
     h_static: np.ndarray = field(init=False, repr=False, compare=False)
     bare_energies: np.ndarray = field(init=False, repr=False, compare=False)
     learn_indices: np.ndarray = field(init=False, repr=False, compare=False)
     comp_indices: np.ndarray = field(init=False, repr=False, compare=False)
     reach_indices: np.ndarray = field(init=False, repr=False, compare=False)
+    sim_reach_indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "qubits", tuple(self.qubits))
@@ -143,20 +146,21 @@ class CoupledSystem:
         learn = np.flatnonzero(np.all(levels < self.n_levels, axis=1))
         # computational states, indexed within the learning subspace
         comp = np.flatnonzero(np.all(levels[learn] < 2, axis=1))
-        # learning states the computational columns can reach, indexed
-        # within the learning subspace: the exchange conserves total
-        # excitation and a z kick is a number-operator phase, so under z
-        # channels only no column climbs above the computational states' top
-        # excitation (nq); an x kick changes excitation by one.
+        # states the computational columns can reach: the exchange conserves
+        # total excitation and a z kick is a number-operator phase, so under
+        # z channels only no column climbs above the computational states'
+        # top excitation (nq), an invariant subspace; an x kick changes
+        # excitation by one, so it reaches every state.
         if all(c.axis == "z" for c in self.channels):
-            reach = np.flatnonzero(levels[learn].sum(axis=1) <= nq)
+            reached = levels.sum(axis=1) <= nq
         else:
-            reach = np.arange(len(learn))
+            reached = np.ones(len(levels), dtype=bool)
         object.__setattr__(self, "h_static", h)
         object.__setattr__(self, "bare_energies", bare)
         object.__setattr__(self, "learn_indices", learn)
         object.__setattr__(self, "comp_indices", comp)
-        object.__setattr__(self, "reach_indices", reach)
+        object.__setattr__(self, "reach_indices", np.flatnonzero(reached[learn]))
+        object.__setattr__(self, "sim_reach_indices", np.flatnonzero(reached))
 
     # -- dimensions -------------------------------------------------------
     @property
@@ -174,6 +178,11 @@ class CoupledSystem:
     @property
     def dim_comp(self) -> int:
         return 2**self.num_qubits
+
+    @property
+    def comp_sim_indices(self) -> np.ndarray:
+        """Computational states, indexed in the full simulation space."""
+        return self.learn_indices[self.comp_indices]
 
     # -- construction helpers ---------------------------------------------
     def _charge(self, q: int) -> np.ndarray:

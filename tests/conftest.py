@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import sfq_control as sc
 
@@ -40,3 +41,33 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@st.composite
+def random_problems(draw):
+    """A random 1-2 qubit system (transmon or fluxonium), z-only or mixed
+    channels, and a batch of schedules."""
+    kind = draw(st.sampled_from(["transmon", "fluxonium"]))
+    num_qubits = draw(st.integers(1, 2))
+    n_levels = draw(st.integers(2, 4))
+    n_sim = draw(st.integers(n_levels, n_levels + 1))
+
+    def qubit():
+        if kind == "transmon":
+            omega, alpha = draw(st.floats(3.0, 6.0)), draw(st.floats(-0.3, -0.1))
+            return sc.transmon_levels(omega * GHZ, alpha * GHZ, n_sim)
+        ej, ec = draw(st.sampled_from([(5.5, 1.5), (5.7, 1.2)]))
+        return sc.fluxonium_levels(ej * GHZ, ec * GHZ, 1.0 * GHZ, np.pi, n_sim)
+
+    qubits = [qubit() for _ in range(num_qubits)]
+    axes = ("z",) if draw(st.booleans()) else ("x", "z")
+    slots = [(q, axis) for q in range(num_qubits) for axis in axes]
+    chosen = draw(st.lists(st.sampled_from(slots), min_size=1, max_size=3, unique=True))
+    channels = [sc.ControlChannel(q, axis, draw(st.floats(0.005, 0.5))) for q, axis in chosen]
+    j = draw(st.floats(0.0, 0.1)) * GHZ if num_qubits == 2 else 0.0
+    system = sc.assemble(qubits, n_levels, n_sim, j, channels)
+    n = draw(st.integers(1, 40))
+    bits = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
+        0, 2, size=(3, len(channels), n), dtype=np.uint8
+    )
+    return system, bits

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sfq_control as sc
-from conftest import GHZ, make_pair_system
+from conftest import GHZ, make_pair_system, random_problems
 from sfq_control import propagate
 from sfq_control.propagate import (
     _CF4_NODE,
@@ -19,7 +19,8 @@ from sfq_control.propagate import (
     _expm_herm,
     pack_words,
 )
-from sfq_control.system import kick_generator
+from sfq_control.metrics import avg_leakage, gate_breakdown
+from sfq_control.system import kick_generator, lookup_target
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +140,17 @@ class TestEvolve:
         cycles = sc.precompute(pair)
         with pytest.raises(ValueError, match="channels"):
             sc.evolve_full(cycles, sc.PulseSchedule.zeros(1, 4))
+
+    def test_columns_must_lie_in_the_reach(self, transmon_pair):
+        # z only: |22> (index 16 at n_sim 7) is outside the two-excitation reach
+        system = make_pair_system(*transmon_pair)
+        cycles, sch = sc.precompute(system), sc.PulseSchedule.zeros(2, 4)
+        assert system.sim_reach_indices.tolist() == [0, 1, 2, 7, 8, 14]
+        with pytest.raises(ValueError, match="sim_reach_indices"):
+            sc.evolve_full(cycles, sch, [0, 16])
+        with pytest.raises(ValueError, match="sim_reach_indices"):
+            sc.evolve_full(cycles, sch, [[0, 1]])
+        assert sc.evolve_full(cycles, sch, [8, 0]).shape == (49, 2)
 
     def test_uncoupled_pair_factorizes(self, transmon_pair):
         # J = 0: pair evolution is the tensor product of the single-qubit ones
@@ -328,6 +340,33 @@ def test_cf4_run_is_the_stepwise_loop(
         mp.setattr(propagate, "_PULSE_CUTOFF_SIGMAS", cutoff)
         got = _cf4_run(system, schedule, pulse_width, substeps)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_problems())
+def test_column_path_is_the_full_unitary_cut(problem):
+    system, bits = problem
+    cycles = sc.precompute(system)
+    cols = system.comp_sim_indices
+    reach = system.sim_reach_indices
+    outside = np.setdiff1d(np.arange(system.dim_sim), reach)
+    # the closure the reach rule assumes: no cycle matrix carries a reached
+    # state outside the reach
+    leak = cycles.combos[:, outside][:, :, reach]
+    assert np.max(np.abs(leak), initial=0.0) <= 1e-13
+    target = lookup_target("CZ" if system.num_qubits == 2 else "X")
+    for row in bits:
+        schedule = sc.PulseSchedule(row)
+        u = sc.evolve_full(cycles, schedule)
+        block = sc.evolve_full(cycles, schedule, cols)
+        assert block.shape == (system.dim_sim, len(cols))
+        assert np.max(np.abs(block - u[:, cols])) <= 1e-12
+        assert not np.any(block[outside])
+        # the metrics read only the computational columns, whichever form
+        whole, narrow = (gate_breakdown(v, system, target) for v in (u, u[:, cols]))
+        assert (whole.f1, whole.f2, whole.leakage, whole.z_angles) == (
+            narrow.f1, narrow.f2, narrow.leakage, narrow.z_angles)
+        assert avg_leakage(u, system) == avg_leakage(u[:, cols], system)
 
 
 class TestBitstreamFiles:

@@ -1,10 +1,14 @@
 """Report files: exact float round trips and the wide re-evaluation row."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sfq_control.config import parse_config_text
-from sfq_control.propagate import PulseSchedule
+from sfq_control import propagate
+from sfq_control.config import build_system, parse_config_text
+from sfq_control.metrics import gate_breakdown
+from sfq_control.propagate import PulseSchedule, evolve_full, precompute
 from sfq_control.reports import evaluate_gate, read_report, write_report
 
 CONFIG = """
@@ -30,6 +34,38 @@ population_size = 20
 selection_size = 12
 seed = 5
 """
+
+
+PAIR = """
+[qubit0]
+type = transmon
+omega01_ghz = 3.9
+alpha_ghz = -0.225
+
+[qubit1]
+type = transmon
+omega01_ghz = 3.5
+alpha_ghz = -0.225
+
+[coupling]
+j_ghz = 0.1
+
+[channels]
+{channels}
+
+[gate]
+target = CZ
+time_ns = {time_ns}
+
+[learning]
+n_levels = {n_levels}
+n_sim_levels = {n_sim_levels}
+"""
+
+
+def pair_config(channels, time_ns, n_levels, n_sim_levels):
+    return parse_config_text(PAIR.format(
+        channels=channels, time_ns=time_ns, n_levels=n_levels, n_sim_levels=n_sim_levels))
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +98,39 @@ class TestEvaluateGate:
         assert 0.0 <= report.f1_wide <= 1.0
         assert 0.0 <= report.leakage_wide <= 1.0
         assert abs(report.f2_wide - report.f2) < 0.05
+
+    def test_z_only_pair_matches_the_full_unitaries(self):
+        # the report evolves the computational columns on the 6 states with
+        # at most two excitations; the full unitaries give the same numbers
+        cfg = pair_config("z1 = 0.03", 0.8, 3, 4)
+        schedule = PulseSchedule.random(np.random.default_rng(3), 1, cfg.num_cycles)
+        report = evaluate_gate(cfg, schedule)
+        target = cfg.target()
+        sim, wide = (
+            gate_breakdown(evolve_full(precompute(s), schedule), s, target)
+            for s in (build_system(cfg),
+                      build_system(replace(cfg, n_sim_levels=cfg.n_sim_levels + 2)))
+        )
+        assert sim.leakage > 1e-6  # the exchange moves population out of 11
+        for got, full in ((report.leakage, sim.leakage), (report.f1_wide, wide.f1),
+                          (report.f2_wide, wide.f2), (report.leakage_wide, wide.leakage)):
+            assert abs(got - full) <= 1e-12
+
+    def test_only_computational_columns_are_evolved(self, monkeypatch):
+        # at n_levels 2 the canonical learning block is the 4 computational
+        # columns too, so no evolution of the report may start from more
+        real, widths = propagate._evolve, []
+
+        def recording(system, tables, bits, start, rows):
+            widths.append(start.shape[-1])
+            return real(system, tables, bits, start, rows)
+
+        monkeypatch.setattr(propagate, "_evolve", recording)
+        cfg = pair_config("x0 = 0.03\nx1 = 0.03", 0.16, 2, 3)
+        schedule = PulseSchedule.random(np.random.default_rng(4), 2, cfg.num_cycles)
+        evaluate_gate(cfg, schedule)
+        assert len(widths) == 3  # canonical, n_sim and n_sim + 2
+        assert max(widths) <= 2**2
 
 
 class TestRoundTrip:

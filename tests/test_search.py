@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sfq_control as sc
-from conftest import GHZ, make_pair_system
+from conftest import GHZ, make_pair_system, random_problems
 from sfq_control import search
 from sfq_control.config import build_system, parse_config
 from sfq_control.propagate import PulseSchedule, precompute
@@ -554,38 +554,8 @@ def test_checkpoint_round_trip_property(
     assert state["fitness"].tobytes() == fitness.tobytes()
 
 
-@st.composite
-def engine_problems(draw):
-    """A random 1-2 qubit system (transmon or fluxonium), z-only or mixed
-    channels, and a batch of schedules."""
-    kind = draw(st.sampled_from(["transmon", "fluxonium"]))
-    num_qubits = draw(st.integers(1, 2))
-    n_levels = draw(st.integers(2, 4))
-    n_sim = draw(st.integers(n_levels, n_levels + 1))
-
-    def qubit():
-        if kind == "transmon":
-            omega, alpha = draw(st.floats(3.0, 6.0)), draw(st.floats(-0.3, -0.1))
-            return sc.transmon_levels(omega * GHZ, alpha * GHZ, n_sim)
-        ej, ec = draw(st.sampled_from([(5.5, 1.5), (5.7, 1.2)]))
-        return sc.fluxonium_levels(ej * GHZ, ec * GHZ, 1.0 * GHZ, np.pi, n_sim)
-
-    qubits = [qubit() for _ in range(num_qubits)]
-    axes = ("z",) if draw(st.booleans()) else ("x", "z")
-    slots = [(q, axis) for q in range(num_qubits) for axis in axes]
-    chosen = draw(st.lists(st.sampled_from(slots), min_size=1, max_size=3, unique=True))
-    channels = [ControlChannel(q, axis, draw(st.floats(0.005, 0.5))) for q, axis in chosen]
-    j = draw(st.floats(0.0, 0.1)) * GHZ if num_qubits == 2 else 0.0
-    system = assemble(qubits, n_levels, n_sim, j, channels)
-    n = draw(st.integers(1, 40))
-    bits = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
-        0, 2, size=(3, len(channels), n), dtype=np.uint8
-    )
-    return system, bits
-
-
 @settings(max_examples=60, deadline=None)
-@given(engine_problems())
+@given(random_problems())
 def test_engine_chains_only_the_reachable_states(problem):
     system, bits = problem
     cycles = precompute(system)

@@ -159,6 +159,19 @@ class TestIndexMaps:
         system = sc.assemble([q0], 4, 5, channels=[sc.ControlChannel(0, "z", 0.03)])
         assert system.reach_indices.tolist() == [0, 1]
 
+    def test_one_reach_rule_for_both_spaces(self, transmon_pair):
+        # the learning reach is the simulation reach cut to the learning states
+        z_pair = make_pair_system(*transmon_pair, n_levels=2, n_sim=3)
+        assert z_pair.sim_reach_indices.tolist() == [0, 1, 2, 3, 4, 6]
+        x_pair = make_pair_system(*transmon_pair, n_levels=2, n_sim=3,
+                                  channels=[sc.ControlChannel(0, "x", 0.01)])
+        assert x_pair.sim_reach_indices.tolist() == list(range(9))
+        for system in (z_pair, x_pair, make_pair_system(*transmon_pair)):
+            learn = system.learn_indices
+            assert learn[system.reach_indices].tolist() == np.intersect1d(
+                learn, system.sim_reach_indices).tolist()
+            assert system.comp_sim_indices.tolist() == learn[system.comp_indices].tolist()
+
     @pytest.mark.parametrize("x_qubit", [0, 1])
     def test_any_x_channel_reaches_every_state(self, transmon_pair, x_qubit):
         channels = [sc.ControlChannel(0, "z", 0.03), sc.ControlChannel(1, "z", 0.03),

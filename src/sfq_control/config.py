@@ -137,7 +137,7 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    cp = ConfigParser()
+    cp = ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
     except ConfigParserError as exc:

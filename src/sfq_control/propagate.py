@@ -114,12 +114,10 @@ class CycleUnitarySet:
     combos[mask] = free @ kick(mask); kick(mask) applies all fired channels
     at the cycle start (generators summed before exponentiation, so
     simultaneous bits on one qubit are legal even when they don't commute).
-    combos_learn holds the same stack cut to the learning subspace.
     """
 
     system: CoupledSystem
     combos: np.ndarray = field(repr=False)  # (2^nch, dim_sim, dim_sim)
-    combos_learn: np.ndarray = field(repr=False)  # (2^nch, dim_learn, dim_learn)
 
     @property
     def free(self) -> np.ndarray:
@@ -133,11 +131,7 @@ def precompute(system: CoupledSystem) -> CycleUnitarySet:
     for mask in range(1, 1 << len(gens)):
         gen = sum(g for i, g in enumerate(gens) if mask >> i & 1)
         combos.append(free @ _expm_herm(gen))
-    combos = np.stack(combos)
-    learn = system.learn_indices
-    return CycleUnitarySet(
-        system=system, combos=combos, combos_learn=combos[:, learn][:, :, learn]
-    )
+    return CycleUnitarySet(system=system, combos=np.stack(combos))
 
 
 # -- the chain kernel -----------------------------------------------------------
@@ -224,6 +218,23 @@ def _frame_phases(system: CoupledSystem, num_cycles: int) -> np.ndarray:
     return np.exp(1j * system.bare_energies * total_time)
 
 
+def _plan(
+    cycles: CycleUnitarySet, space: np.ndarray, columns
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chain of start states columns within space (sorted; both
+    full-space indices): (stack, start, states).  states are the states of
+    space that columns reach (``system.reach``), stack is ``cycles.combos``
+    cut to them and start the columns of eye(len(states)).  ValueError
+    unless columns is a 1-D list of integer states in space."""
+    columns = np.asarray(columns)
+    if (columns.ndim != 1 or columns.dtype.kind not in "iu"
+            or not np.all(np.isin(columns, space))):
+        raise ValueError("columns must be a 1-D list of states of the space")
+    states = np.intersect1d(space, cycles.system.reach(columns))
+    start = np.eye(len(states), dtype=complex)[:, np.searchsorted(states, columns)]
+    return cycles.combos[:, states][:, :, states], start, states
+
+
 def _evolve(
     system: CoupledSystem, tables: list[np.ndarray], bits: np.ndarray, start, rows
 ) -> np.ndarray:
@@ -243,9 +254,9 @@ def evolve_projected(
     """
     system = cycles.system
     _check_schedule(system, schedule)
-    m = _evolve(system, [cycles.combos_learn], schedule.bits,
-                np.eye(system.dim_learn, dtype=complex), system.learn_indices)
-    return EvolutionResult(m)
+    learn = system.learn_indices
+    stack, start, states = _plan(cycles, learn, learn)
+    return EvolutionResult(_evolve(system, [stack], schedule.bits, start, states))
 
 
 def evolve_full(
@@ -253,25 +264,17 @@ def evolve_full(
 ) -> np.ndarray:
     """Unprojected rest-frame evolution on the full simulation space.
 
-    columns=None gives the whole unitary (dim_sim, dim_sim).  Given start
-    states (full-space indices, all in ``system.sim_reach_indices``), it
-    gives just their columns (dim_sim, len(columns)), chained on the states
-    they reach; the rows outside the reach are exact zeros.  ValueError if
-    a column lies outside the reach.
+    The columns of the start states ``columns`` (full-space indices; None
+    means every state, so the whole unitary), shape (dim_sim, len(columns)),
+    chained on the states they reach (``system.reach``); the rows outside
+    the reach are exact zeros.  ValueError if a column is not a state.
     """
     system = cycles.system
     _check_schedule(system, schedule)
-    if columns is None:
-        return _evolve(system, [cycles.combos], schedule.bits,
-                       np.eye(system.dim_sim, dtype=complex), slice(None))
-    reach = system.sim_reach_indices
-    columns = np.asarray(columns)
-    if columns.ndim != 1 or not np.all(np.isin(columns, reach)):
-        raise ValueError("columns must be a list of states in system.sim_reach_indices")
-    start = np.eye(len(reach), dtype=complex)[:, np.searchsorted(reach, columns)]
-    out = np.zeros((system.dim_sim, len(columns)), dtype=complex)
-    out[reach] = _evolve(system, [cycles.combos[:, reach][:, :, reach]],
-                         schedule.bits, start, reach)
+    space = np.arange(system.dim_sim)
+    stack, start, states = _plan(cycles, space, space if columns is None else columns)
+    out = np.zeros((system.dim_sim, start.shape[1]), dtype=complex)
+    out[states] = _evolve(system, [stack], schedule.bits, start, states)
     return out
 
 

@@ -64,8 +64,8 @@ def evaluate_gate(
     breakdown of the best); leakage and the *_wide row come from
     unprojected evolutions at n_sim and n_sim + 2 levels.  Those read only
     the computational columns, so only those columns are evolved, on the
-    states they reach (``system.sim_reach_indices``: every state with an x
-    channel, the 6 with at most two excitations on a z-only pair).
+    states they reach (``system.reach``: every state with an x channel, the
+    6 with at most two excitations on a z-only pair).
     """
     if (schedule is None) == (search is None):
         raise TypeError("pass either a schedule or a search result")
@@ -118,7 +118,7 @@ _SCALARS = [(f.name, _KINDS[f.type]) for f in fields(GateReport) if f.type in _K
 
 
 def write_report(path, report: GateReport) -> None:
-    cp = ConfigParser()
+    cp = ConfigParser(interpolation=None)
     run = {
         name: repr(float(getattr(report, name))) if kind is float
         else str(getattr(report, name))
@@ -140,7 +140,7 @@ def write_report(path, report: GateReport) -> None:
 
 
 def read_report(path) -> GateReport:
-    cp = ConfigParser()
+    cp = ConfigParser(interpolation=None)
     with open(path, "r", encoding="ascii") as fh:
         cp.read_file(fh)
     run = cp["run"]

@@ -23,6 +23,7 @@ from .propagate import (
     CycleUnitarySet,
     PulseSchedule,
     _evolve,
+    _plan,
     evolve_projected,
     precompute,
     word_tables,
@@ -142,8 +143,9 @@ def crossover(
 
 # Entry cap of the search's word tables: a word packs k cycles of nch bits,
 # and 2^(nch * k) <= _TABLE_ENTRIES.  An entry is a matrix on the states the
-# engine chains (system.reach_indices), so its size does not enter the cap.
+# engine chains, so its size does not enter the cap.
 _TABLE_ENTRIES = 256
+_CACHE_ENTRIES = 100_000  # scores the de-duplication cache holds at most
 
 
 class _FitnessEngine:
@@ -151,9 +153,9 @@ class _FitnessEngine:
 
     The evolution body of evolve_projected (``_evolve``), chained k cycles
     per product from word tables built once per engine, on the learning
-    states the computational columns reach (``system.reach_indices``: 6 of
-    25 on a z-only pair at n_levels 5, every state with an x channel).  The
-    columns meet the dropped states only by rounding, and products
+    states the computational columns reach (``_plan``, by ``system.reach``:
+    6 of 25 on a z-only pair at n_levels 5, every state with an x channel).
+    The columns meet the dropped states only by rounding, and products
     associate differently, so scores differ from the canonical path by
     rounding only.  A score that reaches the target is replaced by the
     canonical one, on the full learning block, before it is kept
@@ -166,17 +168,15 @@ class _FitnessEngine:
         self.target = target
         self.config = config
         self.cycles = precompute(system)
-        reach = system.reach_indices
-        self.rows = system.learn_indices[reach]  # rest-frame rows of the chain
-        self.comp = np.searchsorted(reach, system.comp_indices)
-        self.start = np.eye(len(reach), dtype=complex)[:, self.comp]
+        comp = system.comp_sim_indices
+        stack, self.start, self.rows = _plan(self.cycles, system.learn_indices, comp)
+        self.comp = np.searchsorted(self.rows, comp)
         nch = len(system.channels)
         k = 1
         while 2 * k <= num_cycles and 1 << (2 * k * nch) <= _TABLE_ENTRIES:
             k *= 2
-        self.tables = word_tables(self.cycles.combos_learn[:, reach][:, :, reach], k)
+        self.tables = word_tables(stack, k)
         self.cache: dict[bytes, float] = {}
-        self.cache_cap = 100_000
         self.n_evaluations = 0
 
     def _fitness_batch(self, bits: np.ndarray) -> np.ndarray:
@@ -215,7 +215,7 @@ class _FitnessEngine:
         if todo.size:
             out[todo] = self.final(bits[todo], self._fitness_batch(bits[todo]))
             self.n_evaluations += todo.size
-            if len(self.cache) + todo.size > self.cache_cap:
+            if len(self.cache) + todo.size > _CACHE_ENTRIES:
                 self.cache.clear()
             self.cache.update((keys[i], float(out[i])) for i in todo)
         return out
@@ -255,7 +255,7 @@ def write_checkpoint(
     config: GaConfig,
 ) -> None:
     """Persist the full search state as structured text, atomically."""
-    cp = ConfigParser()
+    cp = ConfigParser(interpolation=None)
     cp["meta"] = {
         "version": str(_CHECKPOINT_VERSION),
         "fingerprint": fingerprint,
@@ -282,7 +282,7 @@ def read_checkpoint(path) -> dict:
     Anything but a well-formed version-2 checkpoint raises CheckpointError
     with a one-line message.
     """
-    cp = ConfigParser()
+    cp = ConfigParser(interpolation=None)
     with open(path, "r", encoding="ascii") as fh:
         try:
             cp.read_file(fh)

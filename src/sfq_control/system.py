@@ -102,15 +102,15 @@ class CoupledSystem:
     channels: tuple[ControlChannel, ...] = ()
     clock_period: float = 8e-12
 
-    # Derived, filled in __post_init__.  learn_indices and sim_reach_indices
-    # index the full simulation space; comp_indices and reach_indices index
-    # the learning subspace.
+    # Derived, filled in __post_init__.  levels[i, q] is the level of qubit q
+    # in composite state i, qubit 0 major (the np.kron order); every
+    # per-state quantity is read from it.  learn_indices index the full
+    # simulation space, comp_indices the learning subspace.
+    levels: np.ndarray = field(init=False, repr=False, compare=False)
     h_static: np.ndarray = field(init=False, repr=False, compare=False)
     bare_energies: np.ndarray = field(init=False, repr=False, compare=False)
     learn_indices: np.ndarray = field(init=False, repr=False, compare=False)
     comp_indices: np.ndarray = field(init=False, repr=False, compare=False)
-    reach_indices: np.ndarray = field(init=False, repr=False, compare=False)
-    sim_reach_indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "qubits", tuple(self.qubits))
@@ -133,8 +133,6 @@ class CoupledSystem:
             if c.qubit >= len(self.qubits):
                 raise ValueError(f"channel on absent qubit {c.qubit}")
 
-        # levels[i, q]: level of qubit q in composite state i, qubit 0 major
-        # (the np.kron order).  Every per-state quantity is read from it.
         nq = self.num_qubits
         levels = np.indices((self.n_sim_levels,) * nq).reshape(nq, -1).T
         energies = np.stack([q.energies[: self.n_sim_levels] for q in self.qubits])
@@ -146,21 +144,11 @@ class CoupledSystem:
         learn = np.flatnonzero(np.all(levels < self.n_levels, axis=1))
         # computational states, indexed within the learning subspace
         comp = np.flatnonzero(np.all(levels[learn] < 2, axis=1))
-        # states the computational columns can reach: the exchange conserves
-        # total excitation and a z kick is a number-operator phase, so under
-        # z channels only no column climbs above the computational states'
-        # top excitation (nq), an invariant subspace; an x kick changes
-        # excitation by one, so it reaches every state.
-        if all(c.axis == "z" for c in self.channels):
-            reached = levels.sum(axis=1) <= nq
-        else:
-            reached = np.ones(len(levels), dtype=bool)
+        object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "h_static", h)
         object.__setattr__(self, "bare_energies", bare)
         object.__setattr__(self, "learn_indices", learn)
         object.__setattr__(self, "comp_indices", comp)
-        object.__setattr__(self, "reach_indices", np.flatnonzero(reached[learn]))
-        object.__setattr__(self, "sim_reach_indices", np.flatnonzero(reached))
 
     # -- dimensions -------------------------------------------------------
     @property
@@ -176,13 +164,21 @@ class CoupledSystem:
         return self.n_levels**self.num_qubits
 
     @property
-    def dim_comp(self) -> int:
-        return 2**self.num_qubits
-
-    @property
     def comp_sim_indices(self) -> np.ndarray:
         """Computational states, indexed in the full simulation space."""
         return self.learn_indices[self.comp_indices]
+
+    def reach(self, columns) -> np.ndarray:
+        """The states (sorted) that evolutions from the start states columns
+        can populate, both full-space indices.  The exchange conserves total
+        excitation and a z kick is a number-operator phase, so under z
+        channels only a column stays in its excitation sector, an invariant
+        subspace; an x kick changes excitation by one, so it reaches every
+        state."""
+        if any(c.axis == "x" for c in self.channels):
+            return np.arange(self.dim_sim)
+        excitation = self.levels.sum(axis=1)
+        return np.flatnonzero(np.isin(excitation, excitation[columns]))
 
     # -- construction helpers ---------------------------------------------
     def _charge(self, q: int) -> np.ndarray:

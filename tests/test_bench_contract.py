@@ -5,7 +5,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from sfq_control.search import GaConfig
+from sfq_control.system import lookup_target
 
 BENCH = Path(__file__).parent.parent / "sfqbench"
 SPANS = BENCH / "spans.py"
@@ -50,3 +53,19 @@ def test_every_span_row_fires(monkeypatch, tmp_path):
     fired = {span.name for span in tracer.spans}
     silent = {span for span, _ in layers._SPAN_ROWS.values()} - fired
     assert not tracer.missing and not silent, (tracer.missing, silent)
+
+
+@pytest.mark.parametrize("workload", ["search_z", "cli"])
+def test_the_benchmark_gate_passes(monkeypatch, tmp_path, workload):
+    """The benchmark's correctness gate, as its run does it at the default
+    seed: every kernel it checks matches its stepwise product."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    gate = importlib.import_module("gate")
+    ops = importlib.import_module("ops")
+    problems = importlib.import_module("problems")
+    w = problems.WORKLOADS[workload]
+    seed = w.default_seed
+    for p in w.problems:  # each check raises gate.GateFailure past its tolerance
+        gate.check_kernels(ops.build_system(p), problems.gate_bits(p, seed))
+    gate.check_batch(ops.build_system(w.search), lookup_target(w.search.target),
+                     w.search.num_cycles, seed, tmp_path)

@@ -163,6 +163,22 @@ class TestLearn:
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
 
+    def test_percent_in_a_value_survives_the_report(self, tmp_path):
+        out = tmp_path / "runs" / "50%"
+        config = write_variant(tmp_path, "seed = 3", f"seed = 3\n\n[output]\nout_dir = {out}")
+        assert cli.main(["learn", "--config", str(config), "--max-iters", "2"]) in (0, 3)
+        report = read_report(out / "report.txt")
+        assert report.config_echo["output"]["out_dir"] == str(out)
+
+    def test_interpolation_syntax_exits_2(self, tmp_path, capsys):
+        config = write_variant(tmp_path, "time_ns = 0.32", "time_ns = %(x)s")
+        out = tmp_path / "run"
+        assert cli.main(["learn", "--config", str(config), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "is not a number" in err
+
     def test_budget_flags_conflict(self, fast_config, tmp_path):
         code = cli.main(
             ["learn", "--config", str(fast_config), "--out-dir",

@@ -122,6 +122,12 @@ out_dir = results
     def test_equality_ignores_echo(self):
         assert parse_config_text(PAIR_CZ) == parse_config_text(PAIR_CZ + "\n")
 
+    def test_percent_is_literal(self):
+        # no interpolation: '%' is an ordinary character in any value
+        cfg = parse_config_text(SINGLE_X + "\n[output]\nout_dir = runs/50%\n")
+        assert cfg.out_dir == "runs/50%"
+        assert cfg.echo["output"]["out_dir"] == "runs/50%"
+
     def test_parse_from_file(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text(PAIR_CZ)
@@ -236,6 +242,8 @@ class TestRejection:
              "not a number"),
             (lambda t: edit(t, "omega01_ghz = 3.9", "omega01_ghz = inf"),
              "must be finite"),
+            (lambda t: edit(t, "time_ns = 10", "time_ns = %(x)s"),
+             "'%\\(x\\)s' is not a number"),
             (lambda t: edit(t, "target = CZ", "target = CPHASE"), "unknown"),
             (lambda t: edit(t, "target = CZ", "target = X"), "1-qubit gate"),
             (lambda t: edit(t, "time_ns = 10", "time_ns = -1"), "positive"),

@@ -17,6 +17,7 @@ from sfq_control.propagate import (
     ConvergenceError,
     _cf4_run,
     _expm_herm,
+    _plan,
     pack_words,
 )
 from sfq_control.metrics import avg_leakage, gate_breakdown
@@ -79,9 +80,12 @@ class TestPrecompute:
     def test_learning_blocks_match(self, pair):
         cycles = sc.precompute(pair)
         learn = pair.learn_indices
+        stack, start, states = _plan(cycles, learn, learn)
+        assert states.tolist() == learn.tolist()
+        assert np.array_equal(start, np.eye(pair.dim_learn))
         for mask in range(4):
             np.testing.assert_allclose(
-                cycles.combos_learn[mask],
+                stack[mask],
                 cycles.combos[mask][np.ix_(learn, learn)],
                 atol=0,
             )
@@ -142,15 +146,19 @@ class TestEvolve:
             sc.evolve_full(cycles, sc.PulseSchedule.zeros(1, 4))
 
     def test_columns_must_lie_in_the_reach(self, transmon_pair):
-        # z only: |22> (index 16 at n_sim 7) is outside the two-excitation reach
+        # z only: the computational columns reach the two-excitation states;
+        # |22> (index 16 at n_sim 7) lies outside that reach but is a state,
+        # so it is a valid column with its own (four-excitation) reach
         system = make_pair_system(*transmon_pair)
         cycles, sch = sc.precompute(system), sc.PulseSchedule.zeros(2, 4)
-        assert system.sim_reach_indices.tolist() == [0, 1, 2, 7, 8, 14]
-        with pytest.raises(ValueError, match="sim_reach_indices"):
-            sc.evolve_full(cycles, sch, [0, 16])
-        with pytest.raises(ValueError, match="sim_reach_indices"):
-            sc.evolve_full(cycles, sch, [[0, 1]])
+        assert system.reach(system.comp_sim_indices).tolist() == [0, 1, 2, 7, 8, 14]
+        assert system.reach([16]).tolist() == [4, 10, 16, 22, 28]
+        for bad in (-1, [0, -1], system.dim_sim, [system.dim_sim], 1.5, [1.5], [1.0],
+                    [[0, 1]]):
+            with pytest.raises(ValueError, match="columns"):
+                sc.evolve_full(cycles, sch, bad)
         assert sc.evolve_full(cycles, sch, [8, 0]).shape == (49, 2)
+        assert sc.evolve_full(cycles, sch, [0, 16]).shape == (49, 2)
 
     def test_uncoupled_pair_factorizes(self, transmon_pair):
         # J = 0: pair evolution is the tensor product of the single-qubit ones
@@ -343,30 +351,38 @@ def test_cf4_run_is_the_stepwise_loop(
 
 
 @settings(max_examples=60, deadline=None)
-@given(random_problems())
-def test_column_path_is_the_full_unitary_cut(problem):
+@given(random_problems(), st.data())
+def test_column_path_is_the_full_unitary_cut(problem, data):
+    # any start states: the computational ones, a random subset, one state,
+    # the top state (e.g. |22>, outside the computational reach) and all
     system, bits = problem
     cycles = sc.precompute(system)
-    cols = system.comp_sim_indices
-    reach = system.sim_reach_indices
-    outside = np.setdiff1d(np.arange(system.dim_sim), reach)
-    # the closure the reach rule assumes: no cycle matrix carries a reached
-    # state outside the reach
-    leak = cycles.combos[:, outside][:, :, reach]
-    assert np.max(np.abs(leak), initial=0.0) <= 1e-13
+    comp, every = system.comp_sim_indices, np.arange(system.dim_sim)
+    state = st.sampled_from(every.tolist())
+    top = system.levels.sum(axis=1).argmax()
+    subsets = (comp, data.draw(st.lists(state, min_size=1, unique=True)),
+               [data.draw(state)], [top], every)
+    schedules = [sc.PulseSchedule(row) for row in bits]
+    wholes = [sc.evolve_full(cycles, schedule) for schedule in schedules]
+    for cols in map(np.asarray, subsets):
+        reach = system.reach(cols)
+        outside = np.setdiff1d(every, reach)
+        # the closure the reach rule assumes: no cycle matrix carries a
+        # reached state outside the reach
+        leak = cycles.combos[:, outside][:, :, reach]
+        assert np.max(np.abs(leak), initial=0.0) <= 1e-13
+        for schedule, u in zip(schedules, wholes):
+            block = sc.evolve_full(cycles, schedule, cols)
+            assert block.shape == (system.dim_sim, len(cols))
+            assert np.max(np.abs(block - u[:, cols])) <= 1e-12
+            assert not np.any(block[outside])
     target = lookup_target("CZ" if system.num_qubits == 2 else "X")
-    for row in bits:
-        schedule = sc.PulseSchedule(row)
-        u = sc.evolve_full(cycles, schedule)
-        block = sc.evolve_full(cycles, schedule, cols)
-        assert block.shape == (system.dim_sim, len(cols))
-        assert np.max(np.abs(block - u[:, cols])) <= 1e-12
-        assert not np.any(block[outside])
+    for u in wholes:
         # the metrics read only the computational columns, whichever form
-        whole, narrow = (gate_breakdown(v, system, target) for v in (u, u[:, cols]))
+        whole, narrow = (gate_breakdown(v, system, target) for v in (u, u[:, comp]))
         assert (whole.f1, whole.f2, whole.leakage, whole.z_angles) == (
             narrow.f1, narrow.f2, narrow.leakage, narrow.z_angles)
-        assert avg_leakage(u, system) == avg_leakage(u[:, cols], system)
+        assert avg_leakage(u, system) == avg_leakage(u[:, comp], system)
 
 
 class TestBitstreamFiles:

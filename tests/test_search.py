@@ -402,7 +402,8 @@ class TestCheckpoint:
         system = make_pair_system(
             *transmon_pair, j_ghz=0.1, channels=[ControlChannel(1, "z", 0.03)]
         )
-        assert len(system.reach_indices) < system.dim_learn
+        reach = np.intersect1d(system.learn_indices, system.reach(system.comp_sim_indices))
+        assert len(reach) < system.dim_learn
         self.assert_resume_is_bit_identical(system, lookup_target("CZ"), 125, tmp_path)
 
     def test_resume_rejects_other_problem(self, single_qubit_system, tmp_path):
@@ -559,14 +560,15 @@ def test_checkpoint_round_trip_property(
 def test_engine_chains_only_the_reachable_states(problem):
     system, bits = problem
     cycles = precompute(system)
-    reach = system.reach_indices
-    dropped = np.setdiff1d(np.arange(system.dim_learn), reach)
+    learn = system.learn_indices
+    reach = np.intersect1d(learn, system.reach(system.comp_sim_indices))
+    dropped = np.setdiff1d(learn, reach)
     # the closure the level-table rule assumes: no cycle matrix carries a
     # kept state into a dropped one
-    leak = cycles.combos_learn[:, dropped][:, :, reach]
+    leak = cycles.combos[:, dropped][:, :, reach]
     assert np.max(np.abs(leak), initial=0.0) <= 1e-13
     if any(c.axis == "x" for c in system.channels):
-        assert reach.tolist() == list(range(system.dim_learn))
+        assert reach.tolist() == learn.tolist()
     target = lookup_target("CZ" if system.num_qubits == 2 else "X")
     for metric in ("f1", "f2"):
         engine = _FitnessEngine(system, target, bits.shape[-1], GaConfig(metric=metric))

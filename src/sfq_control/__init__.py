@@ -47,8 +47,6 @@ from .system import (
     assemble,
     lookup_target,
     target_library,
-    x_kick_unitary,
-    z_kick_unitary,
 )
 
 __all__ = [
@@ -63,8 +61,6 @@ __all__ = [
     "assemble",
     "lookup_target",
     "target_library",
-    "x_kick_unitary",
-    "z_kick_unitary",
     "PulseSchedule",
     "CycleUnitarySet",
     "EvolutionResult",

@@ -131,7 +131,7 @@ def parse_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text)
 
@@ -290,17 +290,20 @@ def _build_qubit(spec: dict, n_levels: int) -> QubitLevels:
 
 
 def build_system(cfg: ExperimentConfig) -> CoupledSystem:
-    """Materialize the CoupledSystem; parameters the physics rejects raise
-    ConfigError."""
+    """Materialize the CoupledSystem; parameters the physics rejects, or
+    that overflow once scaled to rad/s, raise ConfigError."""
     try:
-        qubits = [_build_qubit(spec, cfg.n_sim_levels) for spec in cfg.qubit_specs]
-        return CoupledSystem(
-            qubits,
-            n_levels=cfg.n_levels,
-            n_sim_levels=cfg.n_sim_levels,
-            j_coupling=cfg.j_ghz * GHZ,
-            channels=cfg.channels,
-            clock_period=cfg.clock_period,
-        )
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            qubits = [_build_qubit(spec, cfg.n_sim_levels) for spec in cfg.qubit_specs]
+            return CoupledSystem(
+                qubits,
+                n_levels=cfg.n_levels,
+                n_sim_levels=cfg.n_sim_levels,
+                j_coupling=cfg.j_ghz * GHZ,
+                channels=cfg.channels,
+                clock_period=cfg.clock_period,
+            )
+    except ArithmeticError as exc:  # numpy FloatingPointError, float OverflowError
+        raise ConfigError(f"the physics overflows in rad/s: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

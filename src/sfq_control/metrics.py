@@ -122,16 +122,16 @@ def _f2_batch(a: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return (gamma + g**2) / (d * (d + 1)), np.stack(angles, axis=1)
 
 
-def _comp_columns(u: np.ndarray, system: CoupledSystem) -> np.ndarray:
-    """The computational columns (dim_sim, 2^q) of a full-space evolution
-    given whole (dim_sim, dim_sim) or as just those columns."""
-    dim, idx = system.dim_sim, system.comp_sim_indices
-    if u.shape not in ((dim, dim), (dim, len(idx))):
+def _check_columns(u: np.ndarray, system: CoupledSystem) -> np.ndarray:
+    """The computational columns (dim_sim, 2^q) of a full-space evolution;
+    ValueError for any other shape."""
+    shape = (system.dim_sim, len(system.comp_sim_indices))
+    if u.shape != shape:
         raise ValueError(
-            f"evolution must be {dim}x{dim} or {dim}x{len(idx)} for "
-            f"n_sim_levels={system.n_sim_levels}, got {u.shape}"
+            f"evolution must be the {shape[0]}x{shape[1]} computational columns "
+            f"for n_sim_levels={system.n_sim_levels}, got {u.shape}"
         )
-    return u if u.shape[1] == len(idx) else u[:, idx]
+    return u
 
 
 def avg_leakage(u_full: np.ndarray, system: CoupledSystem) -> float:
@@ -139,10 +139,10 @@ def avg_leakage(u_full: np.ndarray, system: CoupledSystem) -> float:
 
     1 - tr(P U P U^dag P) / 2^q for the diagonal projector P onto the
     computational indices of the full simulation space; u_full is the
-    unprojected evolution, whole or just its computational columns (as
-    ``evolve_full(cycles, schedule, system.comp_sim_indices)`` gives them).
+    computational columns of the unprojected evolution, as
+    ``evolve_full(cycles, schedule, system.comp_sim_indices)`` gives them.
     """
-    return _lost(_comp_columns(u_full, system)[system.comp_sim_indices])
+    return _lost(_check_columns(u_full, system)[system.comp_sim_indices])
 
 
 def agreement_f1(a_block: np.ndarray, b_block: np.ndarray) -> float:
@@ -185,11 +185,11 @@ def gate_breakdown(
 ) -> FidelityBreakdown:
     """All metrics from one full-space evolution (consistent truncations).
 
-    u_full is the unprojected evolution, whole or just its computational
-    columns; only those columns are read.  norm_loss here is the average
-    population the computational columns lose from the learning subspace.
+    u_full is the computational columns of the unprojected evolution.
+    norm_loss here is the average population those columns lose from the
+    learning subspace.
     """
-    cols = _comp_columns(u_full, system)
+    cols = _check_columns(u_full, system)
     return replace(
         _block_breakdown(cols[system.comp_sim_indices], target,
                          _lost(cols[system.learn_indices])),

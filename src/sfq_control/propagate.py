@@ -20,6 +20,7 @@ long segment integrated substep by substep.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,10 +119,6 @@ class CycleUnitarySet:
 
     system: CoupledSystem
     combos: np.ndarray = field(repr=False)  # (2^nch, dim_sim, dim_sim)
-
-    @property
-    def free(self) -> np.ndarray:
-        return self.combos[0]
 
 
 def precompute(system: CoupledSystem) -> CycleUnitarySet:
@@ -441,13 +438,28 @@ def write_bitstreams(
     One header + one bit row per channel:
         # channel=<qubit>:<axis> cycles=<N> clock_ps=<float>
         010110...
+    ValueError, before the file is opened, for what read_bitstreams would
+    misread or refuse: a key count other than one per row, a key that is
+    empty, repeated or not printable ASCII without whitespace, a clock that
+    is not finite and positive, or no cycles.
     """
     if len(channel_keys) != schedule.num_channels:
         raise ValueError("one channel key per schedule row required")
+    for key in channel_keys:
+        if not re.fullmatch(r"[!-~]+", key):
+            raise ValueError(f"channel key {key!r} must be printable ASCII "
+                             "without whitespace")
+    if len(set(channel_keys)) != len(channel_keys):
+        raise ValueError("duplicate channel keys")
+    clock = float(clock_ps)
+    if not (np.isfinite(clock) and clock > 0):
+        raise ValueError("clock_ps must be a positive number")
+    if schedule.num_cycles == 0:
+        raise ValueError("schedule has no cycles")
     lines = []
     for key, row in zip(channel_keys, schedule.bitstrings()):
         lines.append(
-            f"# channel={key} cycles={schedule.num_cycles} clock_ps={clock_ps!r}"
+            f"# channel={key} cycles={schedule.num_cycles} clock_ps={clock!r}"
         )
         lines.append(row)
     with atomic_open(path) as fh:

@@ -96,6 +96,7 @@ def transmon_levels(omega01: float, alpha: float, n_levels: int) -> QubitLevels:
     harmonic ladder, sqrt(k+1)/2 after the c[0]=1/2 normalization.
     """
     _check_n_levels(n_levels)
+    _check_finite(omega01=omega01, alpha=alpha)
     if omega01 <= 0:
         raise ValueError("omega01 must be positive")
     if alpha >= 0:
@@ -123,6 +124,7 @@ def split_transmon_levels(
     phi_e in units of pi*Phi/Phi_0; the rest delegates to the fixed-frequency
     builder through omega01 = sqrt(8 E_J' EC) - EC, alpha = -EC.
     """
+    _check_finite(ej1=ej1, ej2=ej2, ec=ec, phi_e=phi_e)
     if ej1 <= 0 or ej2 <= 0 or ec <= 0:
         raise ValueError("junction and charging energies must be positive")
     ej_eff = effective_josephson_energy(ej1, ej2, phi_e)
@@ -162,6 +164,7 @@ def fluxonium_levels(
     is reported as basis_error.
     """
     _check_n_levels(n_levels)
+    _check_finite(ej=ej, ec=ec, el=el, phi_e=phi_e)
     if ej <= 0 or ec <= 0 or el <= 0:
         raise ValueError("EJ, EC, EL must be positive")
     if basis_size < 4 * n_levels:
@@ -218,3 +221,9 @@ def _fluxonium_diagonalize(
 def _check_n_levels(n_levels: int) -> None:
     if not isinstance(n_levels, (int, np.integer)) or n_levels < 2:
         raise ValueError("n_levels must be an integer >= 2")
+
+
+def _check_finite(**params: float) -> None:
+    for name, value in params.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")

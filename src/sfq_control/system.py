@@ -20,8 +20,6 @@ __all__ = [
     "CoupledSystem",
     "GateTarget",
     "assemble",
-    "x_kick_unitary",
-    "z_kick_unitary",
     "kick_generator",
     "target_library",
 ]
@@ -136,11 +134,20 @@ class CoupledSystem:
         nq = self.num_qubits
         levels = np.indices((self.n_sim_levels,) * nq).reshape(nq, -1).T
         energies = np.stack([q.energies[: self.n_sim_levels] for q in self.qubits])
-        bare = energies[np.arange(nq), levels].sum(axis=1)
-        h = np.diag(bare)
-        if self.j_coupling != 0.0:  # two qubits, checked above
-            low0, low1 = self._lowering_unit(0), self._lowering_unit(1)
-            h += self.j_coupling * (np.kron(low0, low1.T) + np.kron(low0.T, low1))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            bare = energies[np.arange(nq), levels].sum(axis=1)
+            h = np.diag(bare)
+            if self.j_coupling != 0.0:  # two qubits, checked above
+                low0, low1 = self._lowering_unit(0), self._lowering_unit(1)
+                h += self.j_coupling * (np.kron(low0, low1.T) + np.kron(low0.T, low1))
+            # bounds on every eigenvalue of h and of any sum of kick generators
+            h_bound = _row_norm(h)
+            kick_bound = sum(_row_norm(kick_generator(self, c)) for c in self.channels)
+        if not np.isfinite(h_bound):
+            raise ValueError("the static Hamiltonian overflows; "
+                             "the coupling or the level energies are too large")
+        if not np.isfinite(kick_bound):
+            raise ValueError("the kick generators overflow; the tip angles are too large")
         learn = np.flatnonzero(np.all(levels < self.n_levels, axis=1))
         # computational states, indexed within the learning subspace
         comp = np.flatnonzero(np.all(levels[learn] < 2, axis=1))
@@ -197,20 +204,13 @@ class CoupledSystem:
         eye = np.eye(self.n_sim_levels)
         return reduce(np.kron, [op if p == q else eye for p in range(self.num_qubits)])
 
-    def projector_learn(self) -> np.ndarray:
-        """Diagonal 0/1 projector onto the learning subspace (full space)."""
-        p = np.zeros((self.dim_sim, self.dim_sim))
-        p[self.learn_indices, self.learn_indices] = 1.0
-        return p
-
-    def channel_index(self, qubit: int, axis: str) -> int:
-        for i, c in enumerate(self.channels):
-            if c.qubit == qubit and c.axis == axis:
-                return i
-        raise KeyError(f"no {axis} channel on qubit {qubit}")
-
 
 assemble = CoupledSystem  # the library's name for the validated constructor
+
+
+def _row_norm(op: np.ndarray) -> float:
+    """Largest absolute row sum of op, which bounds its eigenvalues."""
+    return float(np.abs(op).sum(axis=1).max())
 
 
 # -- kicks ------------------------------------------------------------------
@@ -233,22 +233,6 @@ def kick_generator(system: CoupledSystem, channel: ControlChannel) -> np.ndarray
     else:
         op = np.diag(np.arange(system.n_sim_levels, dtype=float))
     return channel.tip_angle * system._embed(op, channel.qubit)
-
-
-def _kick_unitary(system: CoupledSystem, qubit: int, axis: str) -> np.ndarray:
-    idx = system.channel_index(qubit, axis)
-    return _expm_herm(kick_generator(system, system.channels[idx]))
-
-
-def x_kick_unitary(system: CoupledSystem, qubit: int) -> np.ndarray:
-    """Unitary of a single x pulse: exp(-i tip N_q); Bloch rotation by
-    tip_angle on the qubit's two-level subspace."""
-    return _kick_unitary(system, qubit, "x")
-
-
-def z_kick_unitary(system: CoupledSystem, qubit: int) -> np.ndarray:
-    """Unitary of a single z pulse: level k acquires phase exp(-i k tip)."""
-    return _kick_unitary(system, qubit, "z")
 
 
 # -- gate targets -------------------------------------------------------------

@@ -69,3 +69,25 @@ def test_the_benchmark_gate_passes(monkeypatch, tmp_path, workload):
         gate.check_kernels(ops.build_system(p), problems.gate_bits(p, seed))
     gate.check_batch(ops.build_system(w.search), lookup_target(w.search.target),
                      w.search.num_cycles, seed, tmp_path)
+
+
+@pytest.mark.parametrize("workload", ["search_z", "cli"])
+def test_every_operation_and_isolated_row_runs(monkeypatch, tmp_path, workload):
+    """Each timed operation of the workload passes its checks once, and
+    every isolated per-layer row is measured: a row whose function is gone
+    or has a new signature would be dropped from the run silently."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+    ops = importlib.import_module("ops")
+    problems = importlib.import_module("problems")
+    w = problems.WORKLOADS[workload]
+    session = ops.Session(w, w.default_seed, tmp_path)
+    for kind in ("search", "learn", "evaluate", "oracle"):
+        result = session.run(kind, 0, kind)
+        assert result.error is None, (kind, result.error)
+    rows = layers.isolated(session, w.default_seed)
+    isolated = {"qubits.levels_s", "system.assemble_s", "config.parse_s",
+                "propagate.precompute_s", "propagate.evolve_projected_s",
+                "propagate.evolve_full_s", "search.checkpoint_write_s",
+                "search.checkpoint_read_s", "search.checkpoint_bytes"}
+    assert set(rows) == isolated

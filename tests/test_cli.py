@@ -550,6 +550,59 @@ class TestSpectrumAndOracle:
         self._refused(*flags)
 
 
+REGRESSION_INI = Path(__file__).parent / "data" / "regression.ini"
+
+# INI numbers that are finite but overflow once scaled to physics in rad/s:
+# the exchange, a kick generator tip * (n_sim - 1), a qubit frequency, and
+# one whose square (the transmon's EJ) overflows inside the level builder.
+OVERFLOWING = {
+    "j_ghz": PAIR_SPECTRUM.replace("j_ghz = 0.05", "j_ghz = 1e300"),
+    "z0": REGRESSION_INI.read_text().replace("z0 = 0.03", "z0 = 1e308"),
+    "omega01_ghz": REGRESSION_INI.read_text().replace("omega01_ghz = 3.9",
+                                                     "omega01_ghz = 1e300"),
+    "omega01_ghz_squared": REGRESSION_INI.read_text().replace(
+        "omega01_ghz = 3.9", "omega01_ghz = 1e150"),
+}
+
+
+def refused_without_outputs(tmp_path, capsys, argv):
+    """Run the CLI in this process (a RuntimeWarning fails the test) from
+    tmp_path; check it exits 2 with one error line and writes nothing."""
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert sorted(tmp_path.iterdir()) == before
+    return err
+
+
+class TestRefusedConfigs:
+    @pytest.mark.parametrize("command", ["learn", "spectrum", "oracle"])
+    @pytest.mark.parametrize("key", sorted(OVERFLOWING))
+    def test_overflowing_physics_exits_2(self, tmp_path, capsys, monkeypatch, key, command):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "overflow.ini"
+        config.write_text(OVERFLOWING[key])
+        out = ["--out-dir", str(tmp_path / "run")] if command == "learn" else []
+        refused_without_outputs(tmp_path, capsys, [command, "--config", str(config), *out])
+
+    @pytest.mark.parametrize("argv", [
+        ["learn", "--out-dir", "run"],
+        ["evaluate", "--out-dir", "run", "--bitstream", str(REGRESSION_INI)],
+        ["sweep", "--out-dir", "run", "--param", "tip_angle", "--values", "0.03"],
+        ["spectrum"],
+        ["oracle"],
+    ], ids=lambda argv: argv[0])
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "bad.ini"
+        config.write_bytes(b"\xff[gate]\n")
+        err = refused_without_outputs(tmp_path, capsys, [*argv, "--config", str(config)])
+        assert err.startswith(f"error: cannot read config {config}")
+
+
 class TestTopLevel:
     def test_version(self, capsys):
         import sfq_control

@@ -34,6 +34,11 @@ def sim3(transmon_pair):
     return {1: assemble([q0], 2, 3), 2: assemble([q0, q1], 2, 3, 0.05 * GHZ)}
 
 
+def comp_columns(u, system):
+    """The computational columns of a whole full-space unitary."""
+    return u[:, system.comp_sim_indices]
+
+
 class TestF1:
     def test_hand_cases_one_qubit(self):
         # A = |0><0| vs I: (1 + 1) / 6
@@ -207,21 +212,28 @@ class TestLeakage:
         u = np.eye(3, dtype=complex)
         u[1, 1] = u[2, 2] = 0
         u[1, 2] = u[2, 1] = 1
-        assert avg_leakage(u, sim3[1]) == pytest.approx(0.5)
+        assert avg_leakage(comp_columns(u, sim3[1]), sim3[1]) == pytest.approx(0.5)
 
     def test_identity_has_none(self, sim3):
-        assert avg_leakage(np.eye(9, dtype=complex), sim3[2]) == pytest.approx(0.0)
+        u = np.eye(9, dtype=complex)
+        assert avg_leakage(comp_columns(u, sim3[2]), sim3[2]) == pytest.approx(0.0)
 
     def test_two_qubit_indices(self, sim3):
         # permute |11> (index 4 at n_sim=3) out of the block: 1/4 leaks
         u = np.eye(9, dtype=complex)
         u[4, 4] = u[8, 8] = 0
         u[8, 4] = u[4, 8] = 1
-        assert avg_leakage(u, sim3[2]) == pytest.approx(0.25)
+        assert avg_leakage(comp_columns(u, sim3[2]), sim3[2]) == pytest.approx(0.25)
 
     def test_shape_validation(self, sim3):
-        with pytest.raises(ValueError):
-            avg_leakage(np.eye(4), sim3[2])
+        # only the (dim_sim, 2^q) computational columns are accepted; the
+        # whole (dim_sim, dim_sim) unitary is refused like any other shape
+        target = lookup_target("CZ")
+        for u in (np.eye(4), np.eye(9), np.eye(9)[:, :3], np.eye(9)[:4]):
+            with pytest.raises(ValueError):
+                avg_leakage(u, sim3[2])
+            with pytest.raises(ValueError):
+                gate_breakdown(u, sim3[2], target)
 
     def test_monte_carlo_haar_oracle(self, sim3):
         # average over Haar states of the computational block must match
@@ -235,7 +247,8 @@ class TestLeakage:
         survive = np.sum(np.abs(block @ psi) ** 2, axis=0)
         mc = 1.0 - survive.mean()
         sigma = survive.std(ddof=1) / np.sqrt(n_samples)
-        assert abs(mc - avg_leakage(u, sim3[2])) < 3 * sigma + 1e-12
+        leak = avg_leakage(comp_columns(u, sim3[2]), sim3[2])
+        assert abs(mc - leak) < 3 * sigma + 1e-12
 
 
 class TestChain:
@@ -247,7 +260,7 @@ class TestChain:
         rng = np.random.default_rng(8)
         for _ in range(25):
             u = random_unitary(rng, 16)
-            bd = gate_breakdown(u, system, target)
+            bd = gate_breakdown(comp_columns(u, system), system, target)
             assert bd.f1 <= bd.f2 + 1e-10
             assert bd.f2 <= 1.0 - bd.leakage + 1e-10
 

@@ -62,7 +62,7 @@ class TestPrecompute:
     def test_free_propagator_against_expm(self, pair):
         cycles = sc.precompute(pair)
         oracle = scipy.linalg.expm(-1j * pair.h_static * pair.clock_period)
-        np.testing.assert_allclose(cycles.free, oracle, atol=1e-12)
+        np.testing.assert_allclose(cycles.combos[0], oracle, atol=1e-12)
 
     def test_combos_against_expm(self, pair):
         cycles = sc.precompute(pair)
@@ -72,7 +72,7 @@ class TestPrecompute:
                 (g for i, g in enumerate(gens) if mask >> i & 1),
                 np.zeros_like(pair.h_static),
             )
-            oracle = cycles.free @ scipy.linalg.expm(-1j * gen)
+            oracle = cycles.combos[0] @ scipy.linalg.expm(-1j * gen)
             np.testing.assert_allclose(
                 cycles.combos[mask], oracle, atol=1e-12, err_msg=f"mask {mask}"
             )
@@ -117,7 +117,8 @@ class TestEvolve:
         rng = np.random.default_rng(2)
         sch = sc.PulseSchedule.random(rng, 2, 25)
         res = sc.evolve_projected(cycles, sch)
-        p = pair.projector_learn()
+        p = np.zeros((pair.dim_sim, pair.dim_sim))
+        p[pair.learn_indices, pair.learn_indices] = 1.0
         u = np.eye(pair.dim_sim, dtype=complex)
         for mask in pack_words(sch.bits, 1):
             u = p @ cycles.combos[mask] @ p @ u
@@ -377,12 +378,16 @@ def test_column_path_is_the_full_unitary_cut(problem, data):
             assert np.max(np.abs(block - u[:, cols])) <= 1e-12
             assert not np.any(block[outside])
     target = lookup_target("CZ" if system.num_qubits == 2 else "X")
-    for u in wholes:
-        # the metrics read only the computational columns, whichever form
-        whole, narrow = (gate_breakdown(v, system, target) for v in (u, u[:, comp]))
-        assert (whole.f1, whole.f2, whole.leakage, whole.z_angles) == (
-            narrow.f1, narrow.f2, narrow.leakage, narrow.z_angles)
-        assert avg_leakage(u, system) == avg_leakage(u[:, comp], system)
+    for schedule, u in zip(schedules, wholes):
+        # the metrics of the column path equal those of the whole unitary
+        # cut to its computational columns
+        cols = sc.evolve_full(cycles, schedule, comp)
+        cut, path = (gate_breakdown(v, system, target) for v in (u[:, comp], cols))
+        np.testing.assert_allclose((path.f1, path.f2, path.leakage),
+                                   (cut.f1, cut.f2, cut.leakage), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.exp(1j * np.array(path.z_angles)),
+                                   np.exp(1j * np.array(cut.z_angles)), rtol=0, atol=1e-9)
+        assert path.leakage == avg_leakage(cols, system)
 
 
 class TestBitstreamFiles:
@@ -437,6 +442,42 @@ class TestBitstreamFiles:
             sc.write_bitstreams(
                 tmp_path / "x.txt", sc.PulseSchedule.zeros(2, 3), ["0:x"], 8.0
             )
+
+    @pytest.mark.parametrize("keys,clock,cycles", [
+        (["a b", "1:z"], 8.0, 3),  # would read back as "a"
+        (["", "1:z"], 8.0, 3),
+        (["0:x", "1:z\t"], 8.0, 3),
+        (["0:x", "0:x"], 8.0, 3),  # read_bitstreams refuses duplicates
+        (["0:x", "\u00e9"], 8.0, 3),  # the file is ASCII
+        (["0:x", "1:z"], 0.0, 3),
+        (["0:x", "1:z"], -1.0, 3),
+        (["0:x", "1:z"], float("nan"), 3),
+        (["0:x", "1:z"], float("inf"), 3),
+        (["0:x", "1:z"], 8.0, 0),  # would read back as a missing bit row
+    ])
+    def test_writer_refuses_what_the_reader_cannot_read(self, tmp_path, keys, clock, cycles):
+        path = tmp_path / "x.txt"
+        with pytest.raises(ValueError):
+            sc.write_bitstreams(path, sc.PulseSchedule.zeros(2, cycles), keys, clock)
+        assert list(tmp_path.iterdir()) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    keys=st.lists(st.text("0123456789abcdefghijklmnopqrstuvwxyz:_-", min_size=1),
+                  min_size=1, max_size=4, unique=True),
+    cycles=st.integers(1, 300),
+    clock=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    clock_type=st.sampled_from([float, np.float64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bitstream_round_trip(tmp_path_factory, keys, cycles, clock, clock_type, seed):
+    schedule = sc.PulseSchedule.random(np.random.default_rng(seed), len(keys), cycles)
+    path = tmp_path_factory.mktemp("bits") / "bits.txt"
+    sc.write_bitstreams(path, schedule, keys, clock_type(clock))
+    again, read_keys, read_clock = sc.read_bitstreams(path)
+    assert np.array_equal(again.bits, schedule.bits)
+    assert (read_keys, read_clock) == (keys, clock)
 
 
 def _valid_bitstream_file() -> bytes:

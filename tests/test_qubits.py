@@ -160,6 +160,22 @@ class TestFluxonium:
             fluxonium_levels(1.0, 1.0, 1.0, 0.0, 3, basis_size=8)
 
 
+_BUILDERS = [
+    (transmon_levels, (3.9 * GHZ, -0.225 * GHZ)),
+    (split_transmon_levels, (5 * GHZ, 4 * GHZ, 0.25 * GHZ, 0.1)),
+    (fluxonium_levels, (5.5 * GHZ, 1.5 * GHZ, 1.0 * GHZ, np.pi)),
+]
+
+
+@pytest.mark.parametrize("builder,args", _BUILDERS, ids=lambda b: getattr(b, "__name__", ""))
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_builders_reject_non_finite_inputs(builder, args, bad):
+    # rejected before any arithmetic, so no RuntimeWarning either
+    for i in range(len(args)):
+        with pytest.raises(ValueError, match="must be finite"):
+            builder(*args[:i], bad, *args[i + 1:], 4)
+
+
 class TestQubitLevels:
     def test_validation(self):
         with pytest.raises(ValueError):

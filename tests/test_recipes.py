@@ -36,9 +36,8 @@ def best_under(system, target, num_cycles, error_cap, leak_cap, metric="f2"):
             seed=seed,
         )
         result = run_ga(system, target, num_cycles, config)
-        leak = gate_breakdown(
-            evolve_full(cycles, result.best.schedule()), system, target
-        ).leakage
+        u = evolve_full(cycles, result.best.schedule(), system.comp_sim_indices)
+        leak = gate_breakdown(u, system, target).leakage
         attempts.append((seed, result.error, leak, result.iterations_used))
         if result.error < error_cap and leak < leak_cap:
             return attempts

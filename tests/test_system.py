@@ -6,7 +6,7 @@ import scipy.linalg
 
 import sfq_control as sc
 from conftest import GHZ, make_pair_system
-from sfq_control.system import kick_generator, lookup_target
+from sfq_control.system import _expm_herm, kick_generator, lookup_target
 
 
 # (qubit type, number of qubits, n_levels, n_sim_levels): equal truncations
@@ -190,18 +190,6 @@ class TestIndexMaps:
         single = sc.assemble([q0], 4, 5, channels=[sc.ControlChannel(0, "x", 0.03)])
         assert learn_reach(single).tolist() == [0, 1, 2, 3]
 
-    def test_projector(self, transmon_pair):
-        q0, q1 = transmon_pair
-        system = make_pair_system(q0, q1, n_levels=2, n_sim=3)
-        p = system.projector_learn()
-        assert np.trace(p) == 4
-        np.testing.assert_allclose(p @ p, p, atol=0)
-
-    def test_equal_truncations_give_identity_projector(self, transmon_pair):
-        q0, q1 = transmon_pair
-        system = make_pair_system(q0, q1, n_levels=5, n_sim=5)
-        np.testing.assert_allclose(system.projector_learn(), np.eye(25), atol=0)
-
 
 class TestKicks:
     def test_x_generator_matrix(self, transmon_pair):
@@ -216,8 +204,9 @@ class TestKicks:
         # at n_sim = 2 the charge block is sigma_x / 2 exactly
         q0, _ = transmon_pair
         tip = 0.25
-        system = sc.assemble([q0], 2, 2, channels=[sc.ControlChannel(0, "x", tip)])
-        u = sc.x_kick_unitary(system, 0)
+        ch = sc.ControlChannel(0, "x", tip)
+        system = sc.assemble([q0], 2, 2, channels=[ch])
+        u = _expm_herm(kick_generator(system, ch))
         expected = np.array(
             [
                 [np.cos(tip / 2), -1j * np.sin(tip / 2)],
@@ -232,13 +221,14 @@ class TestKicks:
         system = make_pair_system(q0, q1, channels=[ch])
         gen = kick_generator(system, ch)
         oracle = scipy.linalg.expm(-1j * gen)
-        np.testing.assert_allclose(sc.x_kick_unitary(system, 1), oracle, atol=1e-12)
+        np.testing.assert_allclose(_expm_herm(gen), oracle, atol=1e-12)
 
     def test_z_kick_phases(self, transmon_pair):
         q0, _ = transmon_pair
         tip = 0.03
-        system = sc.assemble([q0], 3, 5, channels=[sc.ControlChannel(0, "z", tip)])
-        u = sc.z_kick_unitary(system, 0)
+        ch = sc.ControlChannel(0, "z", tip)
+        system = sc.assemble([q0], 3, 5, channels=[ch])
+        u = _expm_herm(kick_generator(system, ch))
         np.testing.assert_allclose(
             u, np.diag(np.exp(-1j * tip * np.arange(5))), atol=1e-14
         )
@@ -247,17 +237,11 @@ class TestKicks:
         q0, q1 = transmon_pair
         ch = sc.ControlChannel(1, "z", 0.1)
         system = make_pair_system(q0, q1, n_levels=2, n_sim=3, channels=[ch])
-        u = sc.z_kick_unitary(system, 1)
+        u = _expm_herm(kick_generator(system, ch))
         expected = np.kron(
             np.eye(3), np.diag(np.exp(-1j * 0.1 * np.arange(3)))
         )
         np.testing.assert_allclose(u, expected, atol=1e-14)
-
-    def test_missing_channel_raises(self, transmon_pair):
-        q0, q1 = transmon_pair
-        system = make_pair_system(q0, q1)
-        with pytest.raises(KeyError):
-            sc.x_kick_unitary(system, 0)
 
 
 class TestValidation:
@@ -282,6 +266,20 @@ class TestValidation:
             )
         with pytest.raises(ValueError):
             sc.assemble([q0], 3, 5, clock_period=0.0)
+
+    def test_rejects_overflowing_physics(self, transmon_pair):
+        # the coupling or the kick generators overflow to inf: refused
+        # without a RuntimeWarning
+        q0, q1 = transmon_pair
+        for j in (np.inf, 1e308):
+            with pytest.raises(ValueError, match="static Hamiltonian overflows"):
+                sc.assemble([q0, q1], 3, 5, j_coupling=j)
+        z0, z1 = (sc.ControlChannel(q, "z", 1e308) for q in (0, 1))
+        sc.assemble([q0, q1], 2, 2, channels=[z0])  # tip * (n_sim - 1) is finite
+        # at n_sim = 3 that is 2e308; at n_sim = 2 the two kicks sum to it
+        for n_sim, channels in ((3, [z0]), (2, [z0, z1])):
+            with pytest.raises(ValueError, match="kick generators overflow"):
+                sc.assemble([q0, q1], 2, n_sim, channels=channels)
 
     def test_channel_validation(self):
         with pytest.raises(ValueError):

@@ -37,7 +37,7 @@ from .propagate import (
     reference_integrate,
     write_bitstreams,
 )
-from .reports import evaluate_gate, write_report
+from .reports import evaluate_gate, report_systems, write_report
 from .search import load_checkpoint, run_ga
 
 EXIT_OK = 0
@@ -146,7 +146,7 @@ def cmd_learn(args) -> int:
     if args.checkpoint_every < 0:
         raise ConfigError("--checkpoint-every must be non-negative")
     out = _out_dir(args, cfg)
-    system = build_system(cfg)
+    system, _ = report_systems(cfg)  # the report's n_sim + 2 system too
     target = cfg.target()
     if args.resume is not None:  # checked here, before anything is written
         try:
@@ -250,9 +250,10 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--values must list at least one number")
     if not np.all(np.isfinite(values)):
         raise ConfigError("--values must be finite numbers")
-    # Build every point up front so a typo fails before hours of search.
+    # Build every point, report systems too, up front so a typo fails
+    # before hours of search.
     variants = [_sweep_variant(cfg, args.param, v) for v in values]
-    systems = [build_system(variant) for variant in variants]
+    systems = [report_systems(variant)[0] for variant in variants]
 
     out = _out_dir(args, cfg)
     out.mkdir(parents=True, exist_ok=True)

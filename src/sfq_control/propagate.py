@@ -137,9 +137,9 @@ def pack_words(bits: np.ndarray, k: int) -> np.ndarray:
     """Pack bits (..., nch, N), N a multiple of k, into words of k cycles:
     bit c of a word's i-th cycle is bit i * nch + c (k = 1: channel masks)."""
     *lead, nch, n = bits.shape
-    grouped = bits.reshape(*lead, nch, n // k, k).astype(np.int64)
+    grouped = bits.reshape(*lead, nch, n // k, k)
     shifts = np.arange(k) * nch + np.arange(nch)[:, None]  # (nch, k)
-    return (grouped << shifts[:, None, :]).sum(axis=(-3, -1))
+    return np.einsum("...csi,ci->...s", grouped, 1 << shifts)
 
 
 def word_tables(mats: np.ndarray, k: int) -> list[np.ndarray]:
@@ -232,12 +232,26 @@ def _plan(
     return cycles.combos[:, states][:, :, states], start, states
 
 
+def _real(mats: np.ndarray) -> np.ndarray:
+    """Complex matrices (..., d, d) as real blocks [[Re, -Im], [Im, Re]]
+    (..., 2d, 2d), which act on [Re; Im] columns as mats act on columns."""
+    return np.block([[mats.real, -mats.imag], [mats.imag, mats.real]])
+
+
 def _evolve(
     system: CoupledSystem, tables: list[np.ndarray], bits: np.ndarray, start, rows
 ) -> np.ndarray:
     """The one delta-kick evolution body: start chained along bits by the
-    word tables (chain_bits), in the rest frame of the states rows."""
+    word tables (chain_bits), in the rest frame of the states rows.  Real
+    tables (``_real``) chain the columns as [Re; Im] and fold them back to
+    complex."""
+    d = start.shape[-2]
+    real = tables[0].dtype.kind == "f"
+    if real:
+        start = np.concatenate((start.real, start.imag), axis=-2)
     m = chain_bits(tables, bits, start)
+    if real:
+        m = m[..., :d, :] + 1j * m[..., d:, :]
     return m * _frame_phases(system, bits.shape[-1])[rows][:, None]
 
 

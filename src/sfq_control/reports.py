@@ -17,8 +17,11 @@ from .files import atomic_open
 from .metrics import gate_breakdown
 from .propagate import PulseSchedule, evolve_full, precompute
 from .search import SearchResult, evaluate_fitness
+from .system import CoupledSystem
 
-__all__ = ["GateReport", "evaluate_gate", "write_report", "read_report"]
+__all__ = [
+    "GateReport", "report_systems", "evaluate_gate", "write_report", "read_report",
+]
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,14 @@ class GateReport:
     config_echo: dict = field(compare=False)
 
 
+def report_systems(cfg: ExperimentConfig) -> tuple[CoupledSystem, CoupledSystem]:
+    """The two systems a report evolves: at n_sim_levels and at
+    n_sim_levels + 2.  ConfigError if either does not build, so a command
+    can refuse a config before it searches or writes anything."""
+    wide = replace(cfg, n_sim_levels=cfg.n_sim_levels + 2)
+    return build_system(cfg), build_system(wide)
+
+
 def evaluate_gate(
     cfg: ExperimentConfig,
     schedule: PulseSchedule | None = None,
@@ -69,14 +80,14 @@ def evaluate_gate(
     """
     if (schedule is None) == (search is None):
         raise TypeError("pass either a schedule or a search result")
-    system = build_system(cfg)
+    system, wide_system = report_systems(cfg)
     target = cfg.target()
     cycles = precompute(system)
     if search is None:
         breakdown = evaluate_fitness(cycles, schedule, target, cfg.ga.metric)
     else:
         schedule, breakdown = search.best.schedule(), search.breakdown
-    wide_cycles = precompute(build_system(replace(cfg, n_sim_levels=cfg.n_sim_levels + 2)))
+    wide_cycles = precompute(wide_system)
     sim, wide = (gate_breakdown(evolve_full(c, schedule, c.system.comp_sim_indices),
                                 c.system, target)
                  for c in (cycles, wide_cycles))

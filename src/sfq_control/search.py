@@ -24,6 +24,7 @@ from .propagate import (
     PulseSchedule,
     _evolve,
     _plan,
+    _real,
     evolve_projected,
     precompute,
     word_tables,
@@ -142,9 +143,18 @@ def crossover(
 # -- batched fitness -----------------------------------------------------------
 
 # Entry cap of the search's word tables: a word packs k cycles of nch bits,
-# and 2^(nch * k) <= _TABLE_ENTRIES.  An entry is a matrix on the states the
-# engine chains, so its size does not enter the cap.
+# and 2^(nch * k) <= _TABLE_ENTRIES.  An entry is a matrix on the d states
+# the engine chains: d^2 complex128, or (2d)^2 float64 (twice the bytes)
+# when the engine chains in real arithmetic; its size does not enter the cap.
 _TABLE_ENTRIES = 256
+# The engine chains in real arithmetic when it chains at most this many
+# states.  numpy's stacked complex matmul costs nearly as much per small
+# product at 3 states as at 12, while the real [[Re, -Im], [Im, Re]] blocks
+# cost 2-3x less there.  Real still led by 1.1-1.3x at 16 states, broke
+# even at 18-20 and was 1.5x slower at 25 (60 products of 4 columns,
+# OpenBLAS 0.3.31 on one thread of a 2-vCPU x86-64 host).  The rule reads
+# only the state count, so a seed gives the same run on every machine.
+_REAL_STATES = 16
 _CACHE_ENTRIES = 100_000  # scores the de-duplication cache holds at most
 
 
@@ -155,10 +165,13 @@ class _FitnessEngine:
     per product from word tables built once per engine, on the learning
     states the computational columns reach (``_plan``, by ``system.reach``:
     6 of 25 on a z-only pair at n_levels 5, every state with an x channel).
-    The columns meet the dropped states only by rounding, and products
-    associate differently, so scores differ from the canonical path by
-    rounding only.  A score that reaches the target is replaced by the
-    canonical one, on the full learning block, before it is kept
+    At most ``_REAL_STATES`` states chain in real arithmetic: the tables are
+    lifted once to [[Re, -Im], [Im, Re]] blocks (``_real``), and ``_evolve``
+    folds the chained [Re; Im] columns back to complex before the frame and
+    the metrics.  The columns meet the dropped states only by rounding, and
+    products associate differently, so scores differ from the canonical
+    path by rounding only.  A score that reaches the target is replaced by
+    the canonical one, on the full learning block, before it is kept
     (``final``), so the search stops on canonical scores only.
     """
 
@@ -176,6 +189,8 @@ class _FitnessEngine:
         while 2 * k <= num_cycles and 1 << (2 * k * nch) <= _TABLE_ENTRIES:
             k *= 2
         self.tables = word_tables(stack, k)
+        if len(self.rows) <= _REAL_STATES:
+            self.tables = [_real(t) for t in self.tables]
         self.cache: dict[bytes, float] = {}
         self.n_evaluations = 0
 

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sfq_control as sc
-from conftest import GHZ
-from sfq_control.propagate import chain, chain_bits, pack_words, word_tables
+from conftest import GHZ, random_problems, random_unitary
+from sfq_control.metrics import _f1_batch, _f2_batch
+from sfq_control.propagate import (
+    _evolve, _plan, _real, chain, chain_bits, pack_words, word_tables,
+)
 from sfq_control.search import _TABLE_ENTRIES
 from sfq_control.system import kick_generator
 
@@ -83,6 +86,28 @@ def test_word_tables_agree_with_single_cycles(problem):
         got = chain_bits(word_tables(mats, k), bits, start)
         for b in range(len(bits)):
             assert np.max(np.abs(got[b] - single[b]), initial=0.0) <= 1e-12, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_problems())
+def test_real_and_complex_chains_agree(problem):
+    # the engine's two arithmetics: the same word tables, complex or lifted
+    # to real [[Re, -Im], [Im, Re]] blocks, through the one evolution body
+    system, bits = problem
+    comp = system.comp_sim_indices
+    stack, start, rows = _plan(sc.precompute(system), system.learn_indices, comp)
+    start = np.broadcast_to(start, (len(bits), *start.shape))
+    target = random_unitary(np.random.default_rng(len(rows)), 2**system.num_qubits)
+    for k in word_sizes(len(system.channels)):
+        tables = word_tables(stack, k)
+        cplx = _evolve(system, tables, bits, start, rows)
+        real = _evolve(system, [_real(t) for t in tables], bits, start, rows)
+        assert real.dtype == complex
+        assert np.max(np.abs(real - cplx)) <= 1e-12, k
+        a, b = (np.ascontiguousarray(m[:, np.searchsorted(rows, comp)])
+                for m in (cplx, real))
+        for f in (_f1_batch, lambda m, t: _f2_batch(m, t)[0]):
+            assert np.max(np.abs(f(a, target) - f(b, target))) <= 1e-12, k
 
 
 @settings(max_examples=50, deadline=None)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from sfq_control import cli
+from sfq_control.config import build_system, parse_config
 from sfq_control.propagate import PulseSchedule, write_bitstreams
 from sfq_control.reports import read_report
 
@@ -564,6 +565,12 @@ OVERFLOWING = {
         "omega01_ghz = 3.9", "omega01_ghz = 1e150"),
 }
 
+# The n_sim_levels system builds; the report's n_sim_levels + 2 system does
+# not (its level ladder collapses).
+WIDE_COLLAPSES = (REGRESSION_INI.read_text()
+                  .replace("alpha_ghz = -0.225", "alpha_ghz = -0.9")
+                  .replace("n_sim_levels = 4", "n_sim_levels = 5"))
+
 
 def refused_without_outputs(tmp_path, capsys, argv):
     """Run the CLI in this process (a RuntimeWarning fails the test) from
@@ -601,6 +608,36 @@ class TestRefusedConfigs:
         config.write_bytes(b"\xff[gate]\n")
         err = refused_without_outputs(tmp_path, capsys, [*argv, "--config", str(config)])
         assert err.startswith(f"error: cannot read config {config}")
+
+    @pytest.fixture
+    def never_search(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("searched a config the report refuses")
+
+        monkeypatch.setattr(cli, "run_ga", never)
+
+    def test_report_system_that_fails_exits_2_before_search(
+        self, tmp_path, capsys, monkeypatch, never_search
+    ):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "wide.ini"
+        config.write_text(WIDE_COLLAPSES)
+        build_system(parse_config(config))  # only the report's system fails
+        err = refused_without_outputs(tmp_path, capsys, [
+            "learn", "--config", str(config), "--out-dir", str(tmp_path / "run"),
+            "--max-iters", "50"])
+        assert "level ladder collapses" in err
+
+    def test_sweep_refuses_a_point_whose_report_system_fails(
+        self, tmp_path, capsys, monkeypatch, never_search
+    ):
+        # 3e307 kicks stay finite at n_sim_levels and overflow at
+        # n_sim_levels + 2; the first point is good, and still none is searched
+        monkeypatch.chdir(tmp_path)
+        err = refused_without_outputs(tmp_path, capsys, [
+            "sweep", "--config", str(REGRESSION_INI), "--out-dir",
+            str(tmp_path / "run"), "--param", "tip_angle", "--values", "0.03,3e307"])
+        assert "kick generators overflow" in err
 
 
 class TestTopLevel:

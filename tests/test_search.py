@@ -182,6 +182,26 @@ class TestBatchEngine:
                 again = engine._fitness_batch(bits[pick])
                 np.testing.assert_array_equal(again, whole[pick])
 
+    @pytest.mark.parametrize("problem, states, kind", [
+        ("search_z", 6, "f"), ("cli", 25, "c"), ("regression", 3, "f")])
+    def test_small_learning_spaces_chain_in_real_arithmetic(
+        self, transmon_pair, problem, states, kind
+    ):
+        if problem == "regression":
+            cfg = parse_config(Path(__file__).parent / "data" / "regression.ini")
+            system, target, n = build_system(cfg), cfg.target(), cfg.num_cycles
+        else:
+            x01 = [ControlChannel(0, "x", 0.003), ControlChannel(1, "x", 0.003)]
+            j_ghz, channels, n = {
+                "search_z": (0.1, [ControlChannel(1, "z", 0.03)], 625),
+                "cli": (0.05, x01, 5000),
+            }[problem]
+            system = make_pair_system(*transmon_pair, j_ghz=j_ghz, channels=channels)
+            target = lookup_target("CZ")
+        engine = _FitnessEngine(system, target, n, GaConfig())
+        assert len(engine.rows) == states
+        assert {t.dtype.kind for t in engine.tables} == {kind}
+
     def test_cache_skips_repeat_evaluations(self, single_qubit_system):
         engine = _FitnessEngine(single_qubit_system, lookup_target("X"), 30, GaConfig())
         rng = np.random.default_rng(13)

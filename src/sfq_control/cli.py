@@ -29,6 +29,7 @@ from .config import (
 from .files import atomic_open
 from .metrics import METRICS, agreement_f1
 from .propagate import (
+    _MAX_CYCLES,
     ConvergenceError,
     PulseSchedule,
     evolve_full,
@@ -316,8 +317,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = parse_config(args.config)
-    if args.cycles < 1:
-        raise ConfigError("--cycles must be positive")
+    if not 1 <= args.cycles <= _MAX_CYCLES:
+        raise ConfigError(f"--cycles must be between 1 and {_MAX_CYCLES}")
     if args.seed < 0:
         raise ConfigError("--seed must be non-negative")
     system = build_system(cfg)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .propagate import _MAX_CYCLES
 from .qubits import (
     QubitLevels,
     fluxonium_levels,
@@ -108,11 +109,14 @@ class ExperimentConfig:
     @property
     def num_cycles(self) -> int:
         """Clock cycles of the gate; ConfigError unless time_ns is a whole,
-        positive number of clock periods."""
+        positive number of clock periods, at most ``_MAX_CYCLES``."""
         cycles = self.time_ns * 1e3 / self.clock_ps
         n = round(cycles)
         if n < 1:
             raise ConfigError("gate time is shorter than one clock cycle")
+        if n > _MAX_CYCLES:
+            raise ConfigError(f"gate time {self.time_ns!r} ns is {cycles:.3g} "
+                              f"clock cycles, over the {_MAX_CYCLES} allowed")
         if abs(cycles - n) > 1e-9 * n:
             raise ConfigError(
                 f"gate time {self.time_ns!r} ns is not a whole number of "

@@ -4,8 +4,9 @@ The working model treats each pulse as a delta kick at the start of its clock
 cycle: one cycle is ``free @ kick(mask)`` where ``mask`` says which channels
 fired.  All 2^n_channels cycle unitaries are precomputed once, so evolving a
 schedule is a chain of matrix products, all formed by the one kernel
-``chain``.  Batched scoring chains k cycles per product from word tables
-(the Four-Russians lookup: a k-cycle word indexes its precomputed product).
+``chain``.  Every evolution chains k cycles per product from word tables
+(the Four-Russians lookup: a k-cycle word indexes its precomputed product),
+with k the power of two of fewest multiply-adds (``_word_size``).
 Results are reported in the rest frame of the uncoupled qubits, with the
 frame rotation applied once at the final time.
 
@@ -142,10 +143,30 @@ def pack_words(bits: np.ndarray, k: int) -> np.ndarray:
     return np.einsum("...csi,ci->...s", grouped, 1 << shifts)
 
 
+def _word_size(nch: int, d: int, c: int, n: int) -> int:
+    """The power of two k <= max(n, 1) that chains n cycles of c columns on
+    d states in the fewest multiply-adds, the smallest on a tie: each table
+    T_j, j = 2, 4, ..., k, costs 2^(nch * j) * d^3 to build, and the chain
+    (n / k) * d^2 * c.  It reads only shapes, so a seed gives the same run
+    on every machine."""
+    best, least = 1, n * d * d * c
+    k, build = 1, 0
+    while 2 * k <= n:
+        k *= 2
+        build += d**3 << (nch * k)
+        if build >= least:  # the build only grows with k
+            break
+        cost = build + n * d * d * c / k
+        if cost < least:
+            best, least = k, cost
+    return best
+
+
 def word_tables(mats: np.ndarray, k: int) -> list[np.ndarray]:
-    """[T_1 = mats, T_2, T_4, ..., T_k] by squaring, k a power of two:
-    T_j[w] is the product of the j cycles packed in word w, earliest
-    rightmost, so T_2j[hi * len(T_j) + lo] = T_j[hi] @ T_j[lo]."""
+    """[T_1 = mats, T_2, T_4, ..., T_k] by squaring, k a power of two
+    (every evolution takes k from ``_word_size``): T_j[w] is the product of
+    the j cycles packed in word w, earliest rightmost, so
+    T_2j[hi * len(T_j) + lo] = T_j[hi] @ T_j[lo]."""
     tables = [mats]
     while 1 << len(tables) <= k:
         t = tables[-1]
@@ -232,6 +253,14 @@ def _plan(
     return cycles.combos[:, states][:, :, states], start, states
 
 
+def _tables(stack: np.ndarray, start: np.ndarray, schedule: PulseSchedule) -> list:
+    """The word tables of one evolution, at the word size of the rule
+    (``_word_size``) for the plan's start columns chained along schedule."""
+    k = _word_size(schedule.num_channels, stack.shape[1], start.shape[1],
+                   schedule.num_cycles)
+    return word_tables(stack, k)
+
+
 def _real(mats: np.ndarray) -> np.ndarray:
     """Complex matrices (..., d, d) as real blocks [[Re, -Im], [Im, Re]]
     (..., 2d, 2d), which act on [Re; Im] columns as mats act on columns."""
@@ -267,7 +296,8 @@ def evolve_projected(
     _check_schedule(system, schedule)
     learn = system.learn_indices
     stack, start, states = _plan(cycles, learn, learn)
-    return EvolutionResult(_evolve(system, [stack], schedule.bits, start, states))
+    tables = _tables(stack, start, schedule)
+    return EvolutionResult(_evolve(system, tables, schedule.bits, start, states))
 
 
 def evolve_full(
@@ -285,7 +315,8 @@ def evolve_full(
     space = np.arange(system.dim_sim)
     stack, start, states = _plan(cycles, space, space if columns is None else columns)
     out = np.zeros((system.dim_sim, start.shape[1]), dtype=complex)
-    out[states] = _evolve(system, [stack], schedule.bits, start, states)
+    tables = _tables(stack, start, schedule)
+    out[states] = _evolve(system, tables, schedule.bits, start, states)
     return out
 
 
@@ -299,6 +330,10 @@ _PULSE_CUTOFF_SIGMAS = 8.0
 # Max-abs change allowed when the substep count is doubled.
 _CONVERGENCE_TOL = 1e-6
 _CF4_MAX_EXPONENTIALS = 10**7  # per reference_integrate call, both runs
+# Most clock cycles of a gate: 8 us at the default 8 ps clock, 200 times the
+# paper's 40 ns gates.  A search holds its population's bits, so far longer
+# schedules run out of memory instead of running.
+_MAX_CYCLES = 10**6
 
 
 def reference_integrate(

@@ -25,6 +25,7 @@ from .propagate import (
     _evolve,
     _plan,
     _real,
+    _word_size,
     evolve_projected,
     precompute,
     word_tables,
@@ -142,11 +143,6 @@ def crossover(
 
 # -- batched fitness -----------------------------------------------------------
 
-# Entry cap of the search's word tables: a word packs k cycles of nch bits,
-# and 2^(nch * k) <= _TABLE_ENTRIES.  An entry is a matrix on the d states
-# the engine chains: d^2 complex128, or (2d)^2 float64 (twice the bytes)
-# when the engine chains in real arithmetic; its size does not enter the cap.
-_TABLE_ENTRIES = 256
 # The engine chains in real arithmetic when it chains at most this many
 # states.  numpy's stacked complex matmul costs nearly as much per small
 # product at 3 states as at 12, while the real [[Re, -Im], [Im, Re]] blocks
@@ -165,6 +161,8 @@ class _FitnessEngine:
     per product from word tables built once per engine, on the learning
     states the computational columns reach (``_plan``, by ``system.reach``:
     6 of 25 on a z-only pair at n_levels 5, every state with an x channel).
+    k is the one rule of every evolution (``_word_size``), for the
+    computational columns of a whole selection chained at once.
     At most ``_REAL_STATES`` states chain in real arithmetic: the tables are
     lifted once to [[Re, -Im], [Im, Re]] blocks (``_real``), and ``_evolve``
     folds the chained [Re; Im] columns back to complex before the frame and
@@ -184,10 +182,8 @@ class _FitnessEngine:
         comp = system.comp_sim_indices
         stack, self.start, self.rows = _plan(self.cycles, system.learn_indices, comp)
         self.comp = np.searchsorted(self.rows, comp)
-        nch = len(system.channels)
-        k = 1
-        while 2 * k <= num_cycles and 1 << (2 * k * nch) <= _TABLE_ENTRIES:
-            k *= 2
+        columns = len(comp) * config.selection_size
+        k = _word_size(len(system.channels), len(self.rows), columns, num_cycles)
         self.tables = word_tables(stack, k)
         if len(self.rows) <= _REAL_STATES:
             self.tables = [_real(t) for t in self.tables]

@@ -1,18 +1,26 @@
 """Property tests of the chain kernel on random small systems and schedules."""
 
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sfq_control as sc
-from conftest import GHZ, random_problems, random_unitary
+from conftest import GHZ, make_pair_system, random_problems, random_unitary
+from sfq_control.config import build_system, parse_config
 from sfq_control.metrics import _f1_batch, _f2_batch
 from sfq_control.propagate import (
-    _evolve, _plan, _real, chain, chain_bits, pack_words, word_tables,
+    _evolve, _plan, _real, _word_size, chain, chain_bits, pack_words, word_tables,
 )
-from sfq_control.search import _TABLE_ENTRIES
-from sfq_control.system import kick_generator
+from sfq_control.search import GaConfig, _FitnessEngine
+from sfq_control.system import ControlChannel, kick_generator, lookup_target
+
+DATA = Path(__file__).parent / "data"
+# Entry cap of the word tables these tests sweep: every k up to it.
+ENTRIES = 256
 
 
 @st.composite
@@ -55,7 +63,7 @@ def stepwise(mats, bits):
 def word_sizes(nch):
     """Every power-of-two word size whose table fits the entry cap."""
     k = 1
-    while 1 << (nch * k) <= _TABLE_ENTRIES:
+    while 1 << (nch * k) <= ENTRIES:
         yield k
         k *= 2
 
@@ -138,3 +146,62 @@ def test_both_paths_match_scipy_expm(problem):
         full = sc.evolve_full(cycles, sc.PulseSchedule(row))
         assert np.max(np.abs(full - frame[:, None] * want), initial=0.0) <= 1e-12
         assert np.max(np.abs(batched[b] - want), initial=0.0) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 100), st.integers(1, 300), st.integers(0, 2000))
+def test_word_size_is_the_cheapest_power_of_two(nch, d, c, n):
+    def cost(k):  # exact, so the minimum is exact
+        build = sum(2 ** (nch * j) * d**3 for j in (2**i for i in range(1, k.bit_length())))
+        return build + Fraction(n * d * d * c, k)
+
+    sizes = [1 << i for i in range(max(n, 1).bit_length())]
+    assert _word_size(nch, d, c, n) == min(sizes, key=cost)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_problems(), st.integers(0, 300), st.integers(0, 2**32 - 1), st.data())
+def test_evolutions_at_the_rules_word_size_are_the_stepwise_loop(problem, n, seed, data):
+    system, _ = problem
+    nch = len(system.channels)
+    bits = np.random.default_rng(seed).integers(0, 2, size=(nch, n), dtype=np.uint8)
+    schedule = sc.PulseSchedule(bits)
+    cycles = sc.precompute(system)
+    frame = np.exp(1j * system.bare_energies * n * system.clock_period)
+    full = frame[:, None] * stepwise(cycles.combos, bits)
+    columns = data.draw(st.lists(
+        st.integers(0, system.dim_sim - 1), min_size=1, max_size=system.dim_sim,
+        unique=True).map(sorted))
+    for cols, want in ((None, full), (columns, full[:, columns])):
+        got = sc.evolve_full(cycles, schedule, cols)
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+    learn = system.learn_indices
+    want = frame[learn, None] * stepwise(cycles.combos[:, learn][:, :, learn], bits)
+    got = sc.evolve_projected(cycles, schedule).matrix
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+
+
+def test_word_sizes_of_the_named_problems(transmon_pair):
+    # the search engines keep the k of the old 256-entry cap on every named
+    # problem, and the 40 ns x-channel CZ report chains take 4, 2 and 2
+    q0, q1 = transmon_pair
+    z1 = [ControlChannel(1, "z", 0.03)]
+    cz = lookup_target("CZ")
+    regression = parse_config(DATA / "regression.ini")
+    named = [
+        (make_pair_system(q0, q1, j_ghz=0.1, channels=z1), cz, 625, 8),  # cz_z
+        (make_pair_system(q0, q1, channels=[ControlChannel(0, "x", 0.003),
+                                            ControlChannel(1, "x", 0.003)]),
+         cz, 5000, 4),  # cz_x
+        (build_system(regression), regression.target(), regression.num_cycles, 4),
+        (make_pair_system(q0, q1, n_levels=2, n_sim=2, channels=[
+            ControlChannel(0, "x", 0.03), ControlChannel(1, "x", 0.03)]),
+         cz, 2500, 4),  # criterion 5
+        (make_pair_system(q0, q1, j_ghz=0.05, channels=z1), cz, 1250, 8),  # criterion 6
+    ]
+    for system, target, n, k in named:
+        engine = _FitnessEngine(system, target, n, GaConfig())
+        assert 1 << (len(engine.tables) - 1) == k
+    # canonical 25 x 25 learning block, then 4 columns on 49 and 81 states
+    assert [_word_size(2, 25, 25, 5000), _word_size(2, 49, 4, 5000),
+            _word_size(2, 81, 4, 5000)] == [4, 2, 2]

@@ -11,7 +11,7 @@ import pytest
 
 from sfq_control import cli
 from sfq_control.config import build_system, parse_config
-from sfq_control.propagate import PulseSchedule, write_bitstreams
+from sfq_control.propagate import _MAX_CYCLES, PulseSchedule, write_bitstreams
 from sfq_control.reports import read_report
 
 FAST_LEARN = """
@@ -565,6 +565,9 @@ OVERFLOWING = {
         "omega01_ghz = 3.9", "omega01_ghz = 1e150"),
 }
 
+# About 10^15 cycles: a schedule's bits alone would take over 2^48 bytes.
+HUGE_GATE = REGRESSION_INI.read_text().replace("time_ns = 0.8", "time_ns = 8e12")
+
 # The n_sim_levels system builds; the report's n_sim_levels + 2 system does
 # not (its level ladder collapses).
 WIDE_COLLAPSES = (REGRESSION_INI.read_text()
@@ -608,6 +611,22 @@ class TestRefusedConfigs:
         config.write_bytes(b"\xff[gate]\n")
         err = refused_without_outputs(tmp_path, capsys, [*argv, "--config", str(config)])
         assert err.startswith(f"error: cannot read config {config}")
+
+    @pytest.mark.parametrize("text, argv", [
+        (HUGE_GATE, ["learn", "--out-dir", "run", "--max-iters", "1"]),
+        (HUGE_GATE, ["evaluate", "--out-dir", "run", "--bitstream", str(REGRESSION_INI)]),
+        (HUGE_GATE, ["oracle"]),
+        (REGRESSION_INI.read_text(), ["sweep", "--out-dir", "run", "--param",
+                                      "gate_time_ns", "--values", "0.8,8e12"]),
+        (REGRESSION_INI.read_text(), ["oracle", "--cycles", str(10**15)]),
+    ], ids=["learn", "evaluate", "oracle", "sweep", "oracle_cycles"])
+    def test_gate_over_the_cycle_bound_exits_2(self, tmp_path, capsys, monkeypatch,
+                                               text, argv):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "gate.ini"
+        config.write_text(text)
+        err = refused_without_outputs(tmp_path, capsys, [*argv, "--config", str(config)])
+        assert str(_MAX_CYCLES) in err
 
     @pytest.fixture
     def never_search(self, monkeypatch):

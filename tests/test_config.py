@@ -251,6 +251,8 @@ class TestRejection:
              "positive"),
             (lambda t: edit(t, "time_ns = 10", "time_ns = 0.001"),
              "shorter than one clock"),
+            (lambda t: edit(t, "time_ns = 10", "time_ns = 8e12"),
+             "1e\\+15 clock cycles, over the 1000000 allowed"),
             (lambda t: edit(t, "time_ns = 10", "time_ns = 0.101"),
              "not a whole number of 8.0 ps clock cycles"),
             (lambda t: t + "\n[learning]\nn_levels = 1\n", "at least 2"),

@@ -134,6 +134,23 @@ class TestEvaluateGate:
         assert len(widths) == 3  # canonical, n_sim and n_sim + 2
         assert max(widths) <= 2**2
 
+    def test_reports_chain_words_of_several_cycles(self, monkeypatch):
+        # the 40 ns x-channel CZ: its three chains take k = 4, 2 and 2 from
+        # the word-size rule, so one cycle per product would chain twice
+        # the words allowed here
+        real, words = propagate.chain, []
+
+        def counting(mats, w, m):
+            words.append(w.shape[-1])
+            return real(mats, w, m)
+
+        monkeypatch.setattr(propagate, "chain", counting)
+        cfg = pair_config("x0 = 0.003\nx1 = 0.003", 40.0, 5, 7)
+        assert cfg.num_cycles == 5000
+        schedule = PulseSchedule.random(np.random.default_rng(6), 2, cfg.num_cycles)
+        evaluate_gate(cfg, schedule)
+        assert 0 < sum(words) <= 3 * 5000 // 2
+
 
 class TestRoundTrip:
     def test_exact_equality(self, report, tmp_path):

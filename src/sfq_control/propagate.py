@@ -143,15 +143,23 @@ def pack_words(bits: np.ndarray, k: int) -> np.ndarray:
     return np.einsum("...csi,ci->...s", grouped, 1 << shifts)
 
 
-def _word_size(nch: int, d: int, c: int, n: int) -> int:
+# Bytes one table (word tables, the search's block pool) may hold: a word
+# table of 2^(nch k) entries holds 16 d^2 bytes per complex entry and
+# 32 d^2 once lifted to real (``_real``).
+_TABLE_BYTES = 1 << 26
+
+
+def _word_size(nch: int, d: int, c: int, n: int, real: bool = False) -> int:
     """The power of two k <= max(n, 1) that chains n cycles of c columns on
     d states in the fewest multiply-adds, the smallest on a tie: each table
     T_j, j = 2, 4, ..., k, costs 2^(nch * j) * d^3 to build, and the chain
-    (n / k) * d^2 * c.  It reads only shapes, so a seed gives the same run
-    on every machine."""
+    (n / k) * d^2 * c.  No T_j above T_1 holds more than ``_TABLE_BYTES``
+    (held real if real).  It reads only shapes, so a seed gives the same
+    run on every machine."""
     best, least = 1, n * d * d * c
     k, build = 1, 0
-    while 2 * k <= n:
+    entry = (32 if real else 16) * d * d
+    while 2 * k <= n and entry << (nch * 2 * k) <= _TABLE_BYTES:
         k *= 2
         build += d**3 << (nch * k)
         if build >= least:  # the build only grows with k
@@ -268,20 +276,28 @@ def _real(mats: np.ndarray) -> np.ndarray:
 
 
 def _evolve(
-    system: CoupledSystem, tables: list[np.ndarray], bits: np.ndarray, start, rows
+    system: CoupledSystem, tables: list[np.ndarray], bits: np.ndarray, start, rows,
+    blocks=None,
 ) -> np.ndarray:
     """The one delta-kick evolution body: start chained along bits by the
     word tables (chain_bits), in the rest frame of the states rows.  Real
     tables (``_real``) chain the columns as [Re; Im] and fold them back to
-    complex."""
-    d = start.shape[-2]
+    complex.  blocks = (ops, src) chains the whole words of k cycles as
+    products of blocks instead, ops[src[:, j]] the product of the words of
+    block j of each row (the search's block reuse), then the rest by the
+    tables."""
+    d, n = start.shape[-2], bits.shape[-1]
     real = tables[0].dtype.kind == "f"
     if real:
         start = np.concatenate((start.real, start.imag), axis=-2)
+    if blocks is not None:
+        ops, src = blocks
+        start = chain(ops, src, start)
+        bits = bits[..., n - n % (1 << (len(tables) - 1)):]
     m = chain_bits(tables, bits, start)
     if real:
         m = m[..., :d, :] + 1j * m[..., d:, :]
-    return m * _frame_phases(system, bits.shape[-1])[rows][:, None]
+    return m * _frame_phases(system, n)[rows][:, None]
 
 
 def evolve_projected(

@@ -3,14 +3,17 @@
 Rank-weighted parent selection without replacement, single-point crossover
 with one cut shared across channels, independent per-bit mutation, and
 children replacing the current worst individuals only when strictly better.
-One Generator seeded once drives every random draw, so a seed fixes the whole
-run bit for bit; checkpoints capture the generator state and population and
-resume exactly.
+A generation draws one key per individual for the parents, one cut per pair
+and a flip count with its positions, not a number per bit.  One Generator
+seeded once drives every random draw, so a seed fixes the whole run bit for
+bit; checkpoints capture the generator state and population and resume
+exactly.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, fields, replace
@@ -24,9 +27,12 @@ from .propagate import (
     PulseSchedule,
     _evolve,
     _plan,
+    _TABLE_BYTES,
     _real,
     _word_size,
+    chain,
     evolve_projected,
+    pack_words,
     precompute,
     word_tables,
 )
@@ -154,6 +160,19 @@ _REAL_STATES = 16
 _CACHE_ENTRIES = 100_000  # scores the de-duplication cache holds at most
 
 
+def _block_size(words: int, slots: int, slot_bytes: int) -> int:
+    """Words per block of the engine's block pool: ceil(sqrt(words)), so the
+    sweep (words / b steps) and a rebuild (b steps) take about as many
+    steps, grown until the pool of slots x ceil(words / b) blocks of
+    slot_bytes fits ``_TABLE_BYTES``; 1 (no pool) if one block per slot
+    does not fit."""
+    most = _TABLE_BYTES // (slots * slot_bytes)  # blocks per member
+    if most < 1:
+        return 1
+    b = math.isqrt(max(words - 1, 0)) + 1
+    return max(b, -(-words // most))
+
+
 class _FitnessEngine:
     """Evolves only the computational columns of every candidate at once.
 
@@ -171,6 +190,18 @@ class _FitnessEngine:
     path by rounding only.  A score that reaches the target is replaced by
     the canonical one, on the full learning block, before it is kept
     (``final``), so the search stops on canonical scores only.
+
+    Block reuse (real arithmetic only): the whole words split into nb
+    blocks of b words (``_block_size``; the last one padded with identity
+    words), and a block's op is the product of its b table entries, formed
+    by the same batched chain every time, so a score is a function of the
+    bits only.  The pool holds the ops of every population member (``keep``)
+    and of one selection of children: a child's block whose words equal its
+    head or tail parent's takes that parent's slot, every other block (the
+    cut's, a flip's) is rebuilt (``offspring``), and winners copy their ops
+    into the slots they take (``adopt``).  Scores sweep the columns across
+    the nb ops, then chain the n mod k cycles left.  b = 1 is the plain
+    chain by T_k, with no pool.
     """
 
     def __init__(
@@ -183,21 +214,58 @@ class _FitnessEngine:
         stack, self.start, self.rows = _plan(self.cycles, system.learn_indices, comp)
         self.comp = np.searchsorted(self.rows, comp)
         columns = len(comp) * config.selection_size
-        k = _word_size(len(system.channels), len(self.rows), columns, num_cycles)
+        d = len(self.rows)
+        real = d <= _REAL_STATES
+        k = _word_size(len(system.channels), d, columns, num_cycles, real)
         self.tables = word_tables(stack, k)
-        if len(self.rows) <= _REAL_STATES:
+        self.whole = num_cycles // k  # whole words
+        if real:
             self.tables = [_real(t) for t in self.tables]
+        slots = config.population_size + config.selection_size
+        self.b = _block_size(self.whole, slots, 32 * d * d) if real else 1
+        self.nb = -(-self.whole // self.b)
+        if self.b > 1:
+            # T_k and one identity word, the pad of the last block
+            self.store = np.concatenate((self.tables[-1], np.eye(2 * d)[None]))
+            self.tables[-1] = self.store[:-1]
+            self.pool = np.empty((slots * self.nb, 2 * d, 2 * d))
+            self.member_words = np.zeros((slots, self.nb, self.b), dtype=np.int64)
+            self.fresh = None  # (words, ops) of the last _fitness_batch
         self.cache: dict[bytes, float] = {}
         self.n_evaluations = 0
 
-    def _fitness_batch(self, bits: np.ndarray) -> np.ndarray:
+    def _words(self, bits: np.ndarray) -> np.ndarray:
+        """The block words of bits, (B, nb, b), the pad word ending the
+        last block."""
+        k = 1 << (len(self.tables) - 1)
+        words = pack_words(bits[..., : self.whole * k], k)
+        pad = np.full((len(bits), self.nb * self.b - self.whole), len(self.store) - 1)
+        return np.concatenate((words, pad), axis=1).reshape(len(bits), self.nb, self.b)
+
+    def _ops(self, words: np.ndarray) -> np.ndarray:
+        """The op of each block of words (..., b): its table entries
+        multiplied in one fixed order, earliest rightmost."""
+        w = words.reshape(-1, self.b)
+        return chain(self.store, w[:, 1:], self.store[w[:, 0]])
+
+    def _score(self, bits: np.ndarray, blocks=None) -> np.ndarray:
         start = np.broadcast_to(self.start, (len(bits), *self.start.shape))
-        m = _evolve(self.cycles.system, self.tables, bits, start, self.rows)
+        m = _evolve(self.cycles.system, self.tables, bits, start, self.rows, blocks)
         # C order, so each row's metric sums run alike in any batch
         a = np.ascontiguousarray(m[:, self.comp, :])
         if self.config.metric == "f1":
             return _f1_batch(a, self.target.matrix)
         return _f2_batch(a, self.target.matrix)[0]
+
+    def _fitness_batch(self, bits: np.ndarray) -> np.ndarray:
+        """Batch scores of bits, every block op built afresh (and kept for a
+        ``keep`` of the same bits)."""
+        if self.b == 1:
+            return self._score(bits)
+        words = self._words(bits)
+        self.fresh = (words, self._ops(words))
+        src = np.arange(len(bits) * self.nb).reshape(len(bits), self.nb)
+        return self._score(bits, (self.fresh[1], src))
 
     def final(self, bits: np.ndarray, scores: np.ndarray) -> np.ndarray:
         """Make batch scores of bits final, in place: every score that
@@ -219,22 +287,72 @@ class _FitnessEngine:
     def fitness(self, bits: np.ndarray) -> np.ndarray:
         """Final batch fitness with a de-duplication cache keyed by the
         packed bits."""
+        return self._cached(bits, lambda todo: self._fitness_batch(bits[todo]))
+
+    def _cached(self, bits: np.ndarray, score) -> np.ndarray:
+        """Final scores of bits: cached ones from the cache, the rows todo
+        not in it from score(todo)."""
         packed = np.packbits(bits.reshape(len(bits), -1), axis=1)
         keys = [row.tobytes() for row in packed]
         out = np.array([self.cache.get(key, np.nan) for key in keys])
         todo = np.flatnonzero(np.isnan(out))
         if todo.size:
-            out[todo] = self.final(bits[todo], self._fitness_batch(bits[todo]))
+            out[todo] = self.final(bits[todo], score(todo))
             self.n_evaluations += todo.size
             if len(self.cache) + todo.size > _CACHE_ENTRIES:
                 self.cache.clear()
             self.cache.update((keys[i], float(out[i])) for i in todo)
         return out
 
+    def keep(self, population: np.ndarray) -> None:
+        """Build the pool of the population's block ops, from its bits (the
+        last ``_fitness_batch``'s ops if it scored the same words)."""
+        if self.b > 1:
+            words, ops = self._words(population), None
+            if self.fresh is not None and np.array_equal(self.fresh[0], words):
+                ops = self.fresh[1]
+            self.member_words[: len(words)] = words
+            self.pool[: len(words) * self.nb] = self._ops(words) if ops is None else ops
+            self.fresh = None
+
+    def offspring(
+        self, children: np.ndarray, heads: np.ndarray, tails: np.ndarray
+    ) -> np.ndarray:
+        """Final fitness of children, each from the block ops of its parents
+        heads and tails (population rows) where their words agree; the
+        children's ops stay in the pool for ``adopt``."""
+        if self.b == 1:
+            return self.fitness(children)
+        p, nb = self.config.population_size, self.nb
+        words = self._words(children)
+        self.member_words[p:] = words
+        block = np.arange(nb)
+        own = (p + np.arange(len(children)))[:, None] * nb + block
+        src = own.copy()
+        for parents in (heads, tails):
+            same = (words == self.member_words[parents]).all(axis=-1)
+            src[same] = (parents[:, None] * nb + block)[same]
+        new = src == own
+        self.pool[own[new]] = self._ops(words[new])
+        self.src = src
+        return self._cached(
+            children, lambda todo: self._score(children[todo], (self.pool, src[todo]))
+        )
+
+    def adopt(self, kids: np.ndarray, slots: np.ndarray) -> None:
+        """Children kids of the last ``offspring`` take population rows
+        slots: their ops are gathered before any slot is written, since a
+        replaced slot may be another kid's parent."""
+        if self.b > 1:
+            p, nb = self.config.population_size, self.nb
+            dest = slots[:, None] * nb + np.arange(nb)
+            self.pool[dest] = self.pool[self.src[kids]]
+            self.member_words[slots] = self.member_words[p + kids]
+
 
 # -- checkpointing -------------------------------------------------------------
 
-_CHECKPOINT_VERSION = 2
+_CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -290,7 +408,7 @@ def write_checkpoint(
 def read_checkpoint(path) -> dict:
     """Parse a checkpoint file; OSError if it cannot be opened.
 
-    Anything but a well-formed version-2 checkpoint raises CheckpointError
+    Anything but a well-formed version-3 checkpoint raises CheckpointError
     with a one-line message.
     """
     cp = ConfigParser(interpolation=None)
@@ -361,6 +479,21 @@ def load_checkpoint(
 
 # -- the search ----------------------------------------------------------------
 
+def _select(rng: np.random.Generator, weights: np.ndarray, s: int) -> np.ndarray:
+    """s distinct indices drawn without replacement with probability
+    proportional to weights, in draw order: the s smallest exponential keys
+    E_i / w_i in increasing order (Efraimidis-Spirakis), the law and order
+    of successive sampling, from one number per index."""
+    keys = rng.standard_exponential(len(weights)) / weights
+    return np.argsort(keys, kind="stable")[:s]
+
+
+def _mutate(rng: np.random.Generator, bits: np.ndarray, p: float) -> None:
+    """Flip every bit of bits independently with probability p, in place:
+    a Binomial(bits.size, p) count of distinct positions drawn uniformly."""
+    bits.flat[rng.choice(bits.size, rng.binomial(bits.size, p), replace=False)] ^= 1
+
+
 def run_ga(
     system: CoupledSystem,
     target: GateTarget,
@@ -399,6 +532,7 @@ def run_ga(
     else:
         population = rng.integers(0, 2, size=(p, nch, num_cycles), dtype=np.uint8)
         fitness = engine.fitness(population)
+    engine.keep(population)
 
     history: list[float] = []
     rank_weights = np.arange(p, 0, -1, dtype=float)  # best gets p, worst gets 1
@@ -422,20 +556,23 @@ def run_ga(
         order_desc = np.argsort(-fitness, kind="stable")
         weights = np.empty(p)
         weights[order_desc] = rank_weights
-        parents = rng.choice(p, size=s, replace=False, p=weights / weights.sum())
+        parents = _select(rng, weights, s)
 
         cuts = rng.integers(0, num_cycles + 1, size=s // 2)
         pairs = crossover(population[parents[0::2]], population[parents[1::2]], cuts)
         children = np.stack(pairs, axis=1).reshape(s, nch, num_cycles)
-        flips = rng.random(size=children.shape) < config.mutation_probability
-        children ^= flips.astype(np.uint8)
+        _mutate(rng, children, config.mutation_probability)
 
-        child_fit = engine.fitness(children)
+        # child 2i is parent 2i's head on parent 2i+1's tail, child 2i+1 the
+        # other way round
+        tails = parents.reshape(-1, 2)[:, ::-1].reshape(-1)
+        child_fit = engine.offspring(children, parents, tails)
         kid_order = np.argsort(-child_fit, kind="stable")
         worst_order = np.argsort(fitness, kind="stable")[:s]
         # Children best first against slots worst first: "beats its slot"
         # holds for a prefix, so counting finds its length.
         w = int((child_fit[kid_order] > fitness[worst_order]).sum())
+        engine.adopt(kid_order[:w], worst_order[:w])
         population[worst_order[:w]] = children[kid_order[:w]]
         fitness[worst_order[:w]] = child_fit[kid_order[:w]]
 

@@ -43,6 +43,15 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def stepwise(mats, bits):
+    """The plain loop over cycles, masks packed here by hand."""
+    u = np.eye(mats.shape[1], dtype=complex)
+    for t in range(bits.shape[1]):
+        mask = sum(int(bits[c, t]) << c for c in range(bits.shape[0]))
+        u = mats[mask] @ u
+    return u
+
+
 @st.composite
 def random_problems(draw):
     """A random 1-2 qubit system (transmon or fluxonium), z-only or mixed

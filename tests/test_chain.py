@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sfq_control as sc
-from conftest import GHZ, make_pair_system, random_problems, random_unitary
+from conftest import GHZ, make_pair_system, random_problems, random_unitary, stepwise
 from sfq_control.config import build_system, parse_config
 from sfq_control.metrics import _f1_batch, _f2_batch
 from sfq_control.propagate import (
-    _evolve, _plan, _real, _word_size, chain, chain_bits, pack_words, word_tables,
+    _TABLE_BYTES, _evolve, _plan, _real, _word_size, chain, chain_bits, pack_words,
+    word_tables,
 )
 from sfq_control.search import GaConfig, _FitnessEngine
 from sfq_control.system import ControlChannel, kick_generator, lookup_target
@@ -49,15 +50,6 @@ def problems(draw):
         0, 2, size=(batch, len(channels), n), dtype=np.uint8
     )
     return system, bits
-
-
-def stepwise(mats, bits):
-    """The plain loop over cycles, masks packed here by hand."""
-    u = np.eye(mats.shape[1], dtype=complex)
-    for t in range(bits.shape[1]):
-        mask = sum(int(bits[c, t]) << c for c in range(bits.shape[0]))
-        u = mats[mask] @ u
-    return u
 
 
 def word_sizes(nch):
@@ -149,14 +141,27 @@ def test_both_paths_match_scipy_expm(problem):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 100), st.integers(1, 300), st.integers(0, 2000))
-def test_word_size_is_the_cheapest_power_of_two(nch, d, c, n):
+@given(st.integers(1, 4), st.integers(1, 100), st.integers(1, 300), st.integers(0, 2000),
+       st.booleans())
+def test_word_size_is_the_cheapest_power_of_two(nch, d, c, n, real):
     def cost(k):  # exact, so the minimum is exact
         build = sum(2 ** (nch * j) * d**3 for j in (2**i for i in range(1, k.bit_length())))
         return build + Fraction(n * d * d * c, k)
 
-    sizes = [1 << i for i in range(max(n, 1).bit_length())]
-    assert _word_size(nch, d, c, n) == min(sizes, key=cost)
+    def fits(k):  # T_1 is the cycle stack itself; every table above it is bounded
+        return k == 1 or 2 ** (nch * k) * (32 if real else 16) * d * d <= _TABLE_BYTES
+
+    sizes = [1 << i for i in range(max(n, 1).bit_length()) if fits(1 << i)]
+    assert _word_size(nch, d, c, n, real) == min(sizes, key=cost)
+
+
+def test_long_schedules_keep_their_tables_in_bounds():
+    # without the byte bound both take k = 8: a 655 MB T_8 for the 25-state
+    # search at 10^5 cycles, 2.5 GB for the 49-state oracle at 10^6 cycles
+    for d, c, n in ((25, 240, 10**5), (49, 49, 10**6)):
+        k = _word_size(2, d, c, n)
+        assert k == 4
+        assert 2 ** (2 * k) * 16 * d * d <= _TABLE_BYTES < 2 ** (2 * 2 * k) * 16 * d * d
 
 
 @settings(max_examples=60, deadline=None)

@@ -224,7 +224,7 @@ class TestLearn:
 
     @pytest.mark.parametrize(
         "case",
-        ["missing", "foreign", "truncated", "version_1", "other_problem",
+        ["missing", "foreign", "truncated", "version_1", "version_2", "other_problem",
          "other_settings", "population_size", "num_channels", "nan_fitness",
          "inf_fitness"],
     )
@@ -242,8 +242,8 @@ class TestLearn:
             ck = run / "report.txt"
         elif case == "truncated":
             ck.write_text(ck.read_text()[:300])
-        elif case == "version_1":
-            ck.write_text(ck.read_text().replace("version = 2", "version = 1"))
+        elif case.startswith("version_"):
+            ck.write_text(ck.read_text().replace("version = 3", f"version = {case[-1]}"))
         elif case == "other_problem":
             config = write_variant(tmp_path, "time_ns = 0.32", "time_ns = 0.4")
         elif case == "population_size":  # [meta] only; [ga] keeps 20

@@ -12,9 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sfq_control as sc
-from conftest import GHZ, make_pair_system, random_problems
-from sfq_control import search
+from scipy.stats import chi2
+
+from conftest import GHZ, make_pair_system, random_problems, stepwise
+from sfq_control import propagate, search
 from sfq_control.config import build_system, parse_config
+from sfq_control.metrics import projected_breakdown
 from sfq_control.propagate import PulseSchedule, precompute
 from sfq_control.search import (
     CheckpointError,
@@ -27,6 +30,24 @@ from sfq_control.search import (
     write_checkpoint,
 )
 from sfq_control.system import ControlChannel, assemble, lookup_target
+
+
+def named_problem(transmon_pair, problem):
+    """(system, target, num_cycles) of a named search problem."""
+    if problem == "regression":
+        cfg = parse_config(Path(__file__).parent / "data" / "regression.ini")
+        return build_system(cfg), cfg.target(), cfg.num_cycles
+    x = [ControlChannel(0, "x", 0.003), ControlChannel(1, "x", 0.003)]
+    if problem == "criterion5":
+        x = [ControlChannel(0, "x", 0.03), ControlChannel(1, "x", 0.03)]
+        system = make_pair_system(*transmon_pair, n_levels=2, n_sim=2, channels=x)
+        return system, lookup_target("CZ"), 2500
+    j_ghz, channels, n = {
+        "search_z": (0.1, [ControlChannel(1, "z", 0.03)], 625),
+        "cli": (0.05, x, 5000),
+    }[problem]
+    system = make_pair_system(*transmon_pair, j_ghz=j_ghz, channels=channels)
+    return system, lookup_target("CZ"), n
 
 
 @pytest.fixture(scope="module")
@@ -159,17 +180,7 @@ class TestBatchEngine:
     def test_score_does_not_depend_on_the_batch(self, transmon_pair, problem):
         # the cache and bit-for-bit resume need a row's score to be a pure
         # function of its bits: alone, among any companions, at any position
-        if problem == "regression":
-            cfg = parse_config(Path(__file__).parent / "data" / "regression.ini")
-            system, target, n = build_system(cfg), cfg.target(), cfg.num_cycles
-        else:
-            x01 = [ControlChannel(0, "x", 0.003), ControlChannel(1, "x", 0.003)]
-            j_ghz, channels, n = {
-                "search_z": (0.1, [ControlChannel(1, "z", 0.03)], 625),
-                "cli": (0.05, x01, 5000),
-            }[problem]
-            system = make_pair_system(*transmon_pair, j_ghz=j_ghz, channels=channels)
-            target = lookup_target("CZ")
+        system, target, n = named_problem(transmon_pair, problem)
         rng = np.random.default_rng(14)
         bits = rng.integers(0, 2, size=(64, len(system.channels), n), dtype=np.uint8)
         for metric in ("f1", "f2"):
@@ -183,24 +194,45 @@ class TestBatchEngine:
                 np.testing.assert_array_equal(again, whole[pick])
 
     @pytest.mark.parametrize("problem, states, kind", [
-        ("search_z", 6, "f"), ("cli", 25, "c"), ("regression", 3, "f")])
+        ("search_z", 6, "f"), ("cli", 25, "c"), ("regression", 3, "f"),
+        ("criterion5", 4, "f")])
     def test_small_learning_spaces_chain_in_real_arithmetic(
         self, transmon_pair, problem, states, kind
     ):
-        if problem == "regression":
-            cfg = parse_config(Path(__file__).parent / "data" / "regression.ini")
-            system, target, n = build_system(cfg), cfg.target(), cfg.num_cycles
-        else:
-            x01 = [ControlChannel(0, "x", 0.003), ControlChannel(1, "x", 0.003)]
-            j_ghz, channels, n = {
-                "search_z": (0.1, [ControlChannel(1, "z", 0.03)], 625),
-                "cli": (0.05, x01, 5000),
-            }[problem]
-            system = make_pair_system(*transmon_pair, j_ghz=j_ghz, channels=channels)
-            target = lookup_target("CZ")
+        # and only they reuse block products (b > 1); the 25-state search
+        # keeps the plain chain, whose pool would cost more than its searches
+        system, target, n = named_problem(transmon_pair, problem)
         engine = _FitnessEngine(system, target, n, GaConfig())
         assert len(engine.rows) == states
         assert {t.dtype.kind for t in engine.tables} == {kind}
+        assert (engine.b > 1) == (kind == "f")
+
+    def test_a_generation_chains_blocks_not_words(self, transmon_pair, monkeypatch):
+        # per child, one search_z generation sweeps ceil(78 / b) blocks and a
+        # one-cycle tail, and rebuilds about 1.6 blocks of b words (its cut's
+        # and its flips'): a fall back to the 79-step chain, or to building
+        # every block afresh (82 products per child), fails here
+        system, target, n = named_problem(transmon_pair, "search_z")
+        products = []
+        real_chain = propagate.chain
+
+        def counting(mats, words, m):
+            products.append(words.size)  # steps times rows
+            return real_chain(mats, words, m)
+
+        monkeypatch.setattr(propagate, "chain", counting)
+        monkeypatch.setattr(search, "chain", counting)
+
+        def products_of(iterations):
+            products.clear()
+            run_ga(system, target, n, GaConfig(max_iterations=iterations,
+                                               target_fidelity=1.0, seed=7))
+            return sum(products)
+
+        engine = _FitnessEngine(system, target, n, GaConfig())
+        assert engine.whole == 78 and engine.b > 1
+        per_child = (products_of(2) - products_of(1)) / 60
+        assert per_child <= -(-78 // engine.b) + 2 * engine.b
 
     def test_cache_skips_repeat_evaluations(self, single_qubit_system):
         engine = _FitnessEngine(single_qubit_system, lookup_target("X"), 30, GaConfig())
@@ -261,6 +293,49 @@ class TestBatchEngine:
         want = real_evaluate(engine.cycles, PulseSchedule(bits[0]), target, "f2").f2
         assert scores.tolist() == [want, 0.1, want]
         assert len(calls) == 1
+
+
+class TestDraws:
+    def test_selection_is_successive_sampling(self):
+        # the law and order of rng.choice(replace=False, p=w), 60 of 70 rank
+        # weights: per-position frequencies agree by a two-sample chi-square
+        w = np.arange(70, 0, -1, dtype=float)
+        rng, ref = np.random.default_rng(31), np.random.default_rng(32)
+        draws = 20_000
+        got = np.array([search._select(rng, w, 60) for _ in range(draws)])
+        want = np.array([ref.choice(70, 60, replace=False, p=w / w.sum())
+                         for _ in range(draws)])
+        assert all(len(set(row)) == 60 for row in got.tolist())
+        for j in range(60):
+            a = np.bincount(got[:, j], minlength=70)
+            b = np.bincount(want[:, j], minlength=70)
+            seen = a + b > 0
+            stat = np.sum((a - b)[seen] ** 2 / (a + b)[seen])
+            assert chi2.sf(stat, seen.sum() - 1) > 1e-4, j
+
+    def test_mutation_flips_each_bit_independently(self):
+        p, shape, gens = 0.001, (60, 2, 625), 2000
+        n = np.prod(shape)
+        rng = np.random.default_rng(33)
+        counts, channels, cycles = [], np.zeros(2), np.zeros(625)
+        for _ in range(gens):
+            bits = np.zeros(shape, dtype=np.uint8)
+            search._mutate(rng, bits, p)
+            counts.append(int(bits.sum()))
+            channels += bits.sum(axis=(0, 2))
+            cycles += bits.sum(axis=(0, 1))
+        mean, var = p * n, p * (1 - p) * n
+        assert abs(np.mean(counts) - mean) < 5 * np.sqrt(var / gens)
+        assert abs(np.var(counts, ddof=1) - var) < 5 * var * np.sqrt(2 / (gens - 1))
+        for hits in (channels, cycles):
+            stat = np.sum((hits - hits.mean()) ** 2 / hits.mean())
+            assert chi2.sf(stat, len(hits) - 1) > 1e-4
+        bits = rng.integers(0, 2, size=shape, dtype=np.uint8)
+        before = bits.copy()
+        search._mutate(rng, bits, 0.0)
+        np.testing.assert_array_equal(bits, before)
+        search._mutate(rng, bits, 1.0)
+        np.testing.assert_array_equal(bits, 1 - before)
 
 
 class TestRunGa:
@@ -491,9 +566,13 @@ class TestCheckpoint:
         run_ga(single_qubit_system, lookup_target("X"), 10, cfg, checkpoint_path=path)
         text = path.read_text()
         assert "elitism_count" not in text
-        path.write_text(text.replace("version = 2", "version = 1"))
-        with pytest.raises(CheckpointError, match="version 1 is not supported"):
-            read_checkpoint(path)
+        # version 2 held the same fields, but its runs drew parents and
+        # mutations from another random stream
+        for version in (1, 2):
+            path.write_text(text.replace("version = 3", f"version = {version}"))
+            with pytest.raises(CheckpointError,
+                               match=f"version {version} is not supported"):
+                read_checkpoint(path)
 
     @pytest.mark.parametrize(
         "content",
@@ -596,3 +675,50 @@ def test_engine_chains_only_the_reachable_states(problem):
         for row, score in zip(bits, batch):
             ref = evaluate_fitness(cycles, PulseSchedule(row), target, metric)
             assert abs(score - ref.value(metric)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_problems(), st.integers(8, 160), st.sampled_from(["f1", "f2"]), st.data())
+def test_block_reuse_scores_are_the_fresh_scores(problem, n, metric, data):
+    # children scored from their parents' block ops, over two generations
+    # with winners adopted between them, score == the lineage-free batch and
+    # within 1e-12 of the stepwise product
+    system, _ = problem
+    nch, p, s = len(system.channels), 6, 4
+    target = lookup_target("CZ" if system.num_qubits == 2 else "X")
+    config = GaConfig(population_size=p, selection_size=s, target_fidelity=1.0,
+                      metric=metric)
+    engine = _FitnessEngine(system, target, n, config)
+    assert len(engine.rows) <= search._REAL_STATES
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    population = rng.integers(0, 2, size=(p, nch, n), dtype=np.uint8)
+    engine.keep(population)
+    learn = system.learn_indices
+    frame = np.exp(1j * system.bare_energies[learn] * n * system.clock_period)
+    mats = engine.cycles.combos[:, learn][:, :, learn]
+    slots = np.array([], dtype=int)
+    for _ in range(2):
+        heads = rng.integers(0, p, size=s)
+        tails = rng.integers(0, p, size=s)
+        heads[:len(slots)] = slots  # reuse the ops winners brought along
+        cuts = np.array(data.draw(st.lists(
+            st.one_of(st.just(0), st.just(n), st.integers(0, n)), min_size=s, max_size=s)))
+        children = np.where(np.arange(n) < cuts[:, None, None],
+                            population[heads], population[tails])
+        for c, ch, t in data.draw(st.lists(st.tuples(
+                st.integers(1, s - 1), st.integers(0, nch - 1), st.integers(0, n - 1)),
+                max_size=6)):
+            children[c, ch, t] ^= 1
+        children[0] = population[heads[0]]  # a child equal to its parent
+        engine.cache.clear()
+        scores = engine.offspring(children, heads, tails)
+        fresh = engine.final(children, engine._fitness_batch(children))
+        assert scores.tolist() == fresh.tolist()
+        for row, score in zip(children, scores):
+            matrix = frame[:, None] * stepwise(mats, row)
+            ref = projected_breakdown(matrix, system, target).value(metric)
+            assert abs(score - ref) <= 1e-12
+        w = data.draw(st.integers(1, s))
+        kids, slots = rng.permutation(s)[:w], rng.permutation(p)[:w]
+        engine.adopt(kids, slots)
+        population[slots] = children[kids]

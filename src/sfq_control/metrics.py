@@ -10,7 +10,7 @@ free.  Leakage is population escaping the computational block under the full
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "avg_leakage",
     "agreement_f1",
     "gate_breakdown",
-    "projected_breakdown",
 ]
 
 METRICS = ("f1", "f2")  # the fitness a search can optimize
@@ -161,16 +160,19 @@ def agreement_f1(a_block: np.ndarray, b_block: np.ndarray) -> float:
 class FidelityBreakdown:
     """Everything a run reports about one evolution.
 
-    leakage is None when only the learning-space evolution was computed.
-    The chain f1 <= f2 <= 1 - leakage holds when all three come from one
-    full-space evolution; cross-truncation comparisons (the whole point of
+    A learning-space breakdown (the search's score, ``evaluate_fitness``)
+    has norm_loss, the average population the computational columns lose
+    from the learning subspace, and leakage None; a full-space one
+    (``gate_breakdown``) has leakage and norm_loss None.  The chain
+    f1 <= f2 <= 1 - leakage holds when all three come from one full-space
+    evolution; cross-truncation comparisons (the whole point of
     re-simulating with more levels) break it by design, so it is not
     enforced here.
     """
 
     f1: float
     f2: float
-    norm_loss: float
+    norm_loss: float | None
     z_angles: tuple[float, ...]
     leakage: float | None = None
 
@@ -183,35 +185,22 @@ class FidelityBreakdown:
 def gate_breakdown(
     u_full: np.ndarray, system: CoupledSystem, target: GateTarget
 ) -> FidelityBreakdown:
-    """All metrics from one full-space evolution (consistent truncations).
+    """f1, f2, the Z angles and leakage of one full-space evolution
+    (consistent truncations); norm_loss is None.
 
     u_full is the computational columns of the unprojected evolution.
-    norm_loss here is the average population those columns lose from the
-    learning subspace.
     """
     cols = _check_columns(u_full, system)
-    return replace(
-        _block_breakdown(cols[system.comp_sim_indices], target,
-                         _lost(cols[system.learn_indices])),
-        leakage=avg_leakage(cols, system),
-    )
-
-
-def projected_breakdown(
-    matrix: np.ndarray, system: CoupledSystem, target: GateTarget
-) -> FidelityBreakdown:
-    """Metrics of a learning-space (projected) evolution; no leakage."""
-    d = system.dim_learn
-    if matrix.shape != (d, d):
-        raise ValueError(f"matrix must be {d}x{d} (learning space), got {matrix.shape}")
-    comp = system.comp_indices
-    return _block_breakdown(matrix[np.ix_(comp, comp)], target, _lost(matrix))
+    return _block_breakdown(cols[system.comp_sim_indices], target,
+                            leakage=avg_leakage(cols, system))
 
 
 def _block_breakdown(
-    block: np.ndarray, target: GateTarget, norm_loss: float
+    block: np.ndarray, target: GateTarget, norm_loss: float | None = None,
+    leakage: float | None = None,
 ) -> FidelityBreakdown:
-    """f1, f2 and the Z angles of the computational block; no leakage."""
+    """f1, f2 and the Z angles of the computational block, with the given
+    norm_loss and leakage."""
     a = _check_block(block, target)[None]
     f2, angles = _f2_batch(a, target.matrix)
     return FidelityBreakdown(
@@ -219,4 +208,5 @@ def _block_breakdown(
         f2=float(f2[0]),
         norm_loss=norm_loss,
         z_angles=tuple(float(x) for x in angles[0]),
+        leakage=leakage,
     )

@@ -70,10 +70,11 @@ def evaluate_gate(
     """Compute the full report for one schedule under one config.
 
     Pass either a schedule or a search result; a search reports its best
-    schedule.  The learning-space numbers (fitness, f1, f2, norm_loss) come
-    from the canonical path the search scores with (for a search, its own
-    breakdown of the best); leakage and the *_wide row come from
-    unprojected evolutions at n_sim and n_sim + 2 levels.  Those read only
+    schedule.  The learning-space numbers (fitness, f1, f2, norm_loss) are
+    the search's own score of the schedule under cfg.ga (``evaluate_fitness``;
+    for a search, its breakdown of the best), so they are the number the
+    search stopped on; leakage and the *_wide row come from unprojected
+    evolutions at n_sim and n_sim + 2 levels.  Every one of them reads only
     the computational columns, so only those columns are evolved, on the
     states they reach (``system.reach``: every state with an x channel, the
     6 with at most two excitations on a z-only pair).
@@ -84,7 +85,7 @@ def evaluate_gate(
     target = cfg.target()
     cycles = precompute(system)
     if search is None:
-        breakdown = evaluate_fitness(cycles, schedule, target, cfg.ga.metric)
+        breakdown = evaluate_fitness(cycles, schedule, target, config=cfg.ga)
     else:
         schedule, breakdown = search.best.schedule(), search.breakdown
     wide_cycles = precompute(wide_system)

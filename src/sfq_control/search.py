@@ -21,17 +21,19 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .files import atomic_open
-from .metrics import METRICS, FidelityBreakdown, _f1_batch, _f2_batch, projected_breakdown
+from .metrics import (
+    METRICS, FidelityBreakdown, _block_breakdown, _f1_batch, _f2_batch, _lost,
+)
 from .propagate import (
     CycleUnitarySet,
     PulseSchedule,
+    _check_schedule,
     _evolve,
     _plan,
     _TABLE_BYTES,
     _real,
     _word_size,
     chain,
-    evolve_projected,
     pack_words,
     precompute,
     word_tables,
@@ -116,16 +118,24 @@ def evaluate_fitness(
     schedule: PulseSchedule,
     target: GateTarget,
     metric: str = "f2",
+    config: GaConfig | None = None,
 ) -> FidelityBreakdown:
-    """Canonical scalar fitness path: projected evolution, then metrics.
+    """The search's own score of one schedule, as a breakdown.
 
-    A zero-length schedule evolves to the identity, so against an identity
+    The engine a search with config (default ``GaConfig(metric=metric)``)
+    builds scores a batch of one, so f1 and f2 are bit for bit the scores
+    that search keeps for these bits: its word size and block size follow
+    the GA sizes.  norm_loss is the average population the computational
+    columns lose from the learning subspace; leakage is None.  A
+    zero-length schedule evolves to the identity, so against an identity
     target it scores f1 = f2 = 1.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
-    matrix = evolve_projected(cycles, schedule).matrix
-    return projected_breakdown(matrix, cycles.system, target)
+    config = GaConfig(metric=metric) if config is None else config
+    _check_schedule(cycles.system, schedule)
+    engine = _FitnessEngine(cycles, target, schedule.num_cycles, config)
+    return engine.breakdown(schedule.bits)
 
 
 def crossover(
@@ -174,22 +184,19 @@ def _block_size(words: int, slots: int, slot_bytes: int) -> int:
 
 
 class _FitnessEngine:
-    """Evolves only the computational columns of every candidate at once.
+    """Scores only the computational columns of every candidate at once.
 
-    The evolution body of evolve_projected (``_evolve``), chained k cycles
-    per product from word tables built once per engine, on the learning
-    states the computational columns reach (``_plan``, by ``system.reach``:
-    6 of 25 on a z-only pair at n_levels 5, every state with an x channel).
-    k is the one rule of every evolution (``_word_size``), for the
-    computational columns of a whole selection chained at once.
-    At most ``_REAL_STATES`` states chain in real arithmetic: the tables are
-    lifted once to [[Re, -Im], [Im, Re]] blocks (``_real``), and ``_evolve``
-    folds the chained [Re; Im] columns back to complex before the frame and
-    the metrics.  The columns meet the dropped states only by rounding, and
-    products associate differently, so scores differ from the canonical
-    path by rounding only.  A score that reaches the target is replaced by
-    the canonical one, on the full learning block, before it is kept
-    (``final``), so the search stops on canonical scores only.
+    This is the one learning-space score: the search keeps it, and
+    ``evaluate_fitness`` reports it for a batch of one.  It runs the one
+    evolution body (``_evolve``), k cycles per product from word tables
+    built once per engine, on the learning states the computational columns
+    reach (``_plan``, by ``system.reach``: 6 of 25 on a z-only pair at
+    n_levels 5, every state with an x channel).  k is the one rule of every
+    evolution (``_word_size``), for the computational columns of a whole
+    selection chained at once.  At most ``_REAL_STATES`` states chain in
+    real arithmetic: the tables are lifted once to [[Re, -Im], [Im, Re]]
+    blocks (``_real``), and ``_evolve`` folds the chained [Re; Im] columns
+    back to complex before the frame and the metrics.
 
     Block reuse (real arithmetic only): the whole words split into nb
     blocks of b words (``_block_size``; the last one padded with identity
@@ -205,13 +212,15 @@ class _FitnessEngine:
     """
 
     def __init__(
-        self, system: CoupledSystem, target: GateTarget, num_cycles: int, config: GaConfig
+        self, cycles: CycleUnitarySet, target: GateTarget, num_cycles: int,
+        config: GaConfig,
     ) -> None:
         self.target = target
         self.config = config
-        self.cycles = precompute(system)
+        self.cycles = cycles
+        system = cycles.system
         comp = system.comp_sim_indices
-        stack, self.start, self.rows = _plan(self.cycles, system.learn_indices, comp)
+        stack, self.start, self.rows = _plan(cycles, system.learn_indices, comp)
         self.comp = np.searchsorted(self.rows, comp)
         columns = len(comp) * config.selection_size
         d = len(self.rows)
@@ -230,7 +239,6 @@ class _FitnessEngine:
             self.tables[-1] = self.store[:-1]
             self.pool = np.empty((slots * self.nb, 2 * d, 2 * d))
             self.member_words = np.zeros((slots, self.nb, self.b), dtype=np.int64)
-            self.fresh = None  # (words, ops) of the last _fitness_batch
         self.cache: dict[bytes, float] = {}
         self.n_evaluations = 0
 
@@ -248,9 +256,17 @@ class _FitnessEngine:
         w = words.reshape(-1, self.b)
         return chain(self.store, w[:, 1:], self.store[w[:, 0]])
 
-    def _score(self, bits: np.ndarray, blocks=None) -> np.ndarray:
+    def _columns(self, bits: np.ndarray, blocks=None) -> np.ndarray:
+        """The rest-frame computational columns of bits on the chained
+        states, (B, rows, 2^q): by blocks = (ops, src) (``_evolve``), else,
+        when b > 1, by block ops built afresh from the bits."""
+        if blocks is None and self.b > 1:
+            src = np.arange(len(bits) * self.nb).reshape(len(bits), self.nb)
+            blocks = (self._ops(self._words(bits)), src)
         start = np.broadcast_to(self.start, (len(bits), *self.start.shape))
-        m = _evolve(self.cycles.system, self.tables, bits, start, self.rows, blocks)
+        return _evolve(self.cycles.system, self.tables, bits, start, self.rows, blocks)
+
+    def _score(self, m: np.ndarray) -> np.ndarray:
         # C order, so each row's metric sums run alike in any batch
         a = np.ascontiguousarray(m[:, self.comp, :])
         if self.config.metric == "f1":
@@ -258,46 +274,32 @@ class _FitnessEngine:
         return _f2_batch(a, self.target.matrix)[0]
 
     def _fitness_batch(self, bits: np.ndarray) -> np.ndarray:
-        """Batch scores of bits, every block op built afresh (and kept for a
-        ``keep`` of the same bits)."""
-        if self.b == 1:
-            return self._score(bits)
-        words = self._words(bits)
-        self.fresh = (words, self._ops(words))
-        src = np.arange(len(bits) * self.nb).reshape(len(bits), self.nb)
-        return self._score(bits, (self.fresh[1], src))
+        """Batch scores of bits, every block op built afresh."""
+        return self._score(self._columns(bits))
 
-    def final(self, bits: np.ndarray, scores: np.ndarray) -> np.ndarray:
-        """Make batch scores of bits final, in place: every score that
-        reaches the target becomes the canonical one (once per distinct
-        bits).  ValueError if a score is not finite."""
-        if not np.all(np.isfinite(scores)):
-            raise ValueError("batch fitness is not finite")
-        canonical: dict[bytes, float] = {}
-        for i in np.flatnonzero(scores >= self.config.target_fidelity):
-            key = bits[i].tobytes()
-            if key not in canonical:
-                bd = evaluate_fitness(
-                    self.cycles, PulseSchedule(bits[i]), self.target, self.config.metric
-                )
-                canonical[key] = bd.value(self.config.metric)
-            scores[i] = canonical[key]
-        return scores
+    def breakdown(self, bits: np.ndarray) -> FidelityBreakdown:
+        """The breakdown of one candidate bits (nch, N): f1 and f2 equal
+        its batch score, norm_loss is what its columns lose from the
+        learning subspace."""
+        m = self._columns(bits[None])[0]
+        return _block_breakdown(m[self.comp], self.target, norm_loss=_lost(m))
 
     def fitness(self, bits: np.ndarray) -> np.ndarray:
-        """Final batch fitness with a de-duplication cache keyed by the
-        packed bits."""
+        """Batch fitness with a de-duplication cache keyed by the packed
+        bits."""
         return self._cached(bits, lambda todo: self._fitness_batch(bits[todo]))
 
     def _cached(self, bits: np.ndarray, score) -> np.ndarray:
-        """Final scores of bits: cached ones from the cache, the rows todo
-        not in it from score(todo)."""
+        """Scores of bits: cached ones from the cache, the rows todo not in
+        it from score(todo).  ValueError if a score is not finite."""
         packed = np.packbits(bits.reshape(len(bits), -1), axis=1)
         keys = [row.tobytes() for row in packed]
         out = np.array([self.cache.get(key, np.nan) for key in keys])
         todo = np.flatnonzero(np.isnan(out))
         if todo.size:
-            out[todo] = self.final(bits[todo], score(todo))
+            out[todo] = score(todo)
+            if not np.all(np.isfinite(out[todo])):
+                raise ValueError("batch fitness is not finite")
             self.n_evaluations += todo.size
             if len(self.cache) + todo.size > _CACHE_ENTRIES:
                 self.cache.clear()
@@ -305,20 +307,16 @@ class _FitnessEngine:
         return out
 
     def keep(self, population: np.ndarray) -> None:
-        """Build the pool of the population's block ops, from its bits (the
-        last ``_fitness_batch``'s ops if it scored the same words)."""
+        """Build the pool of the population's block ops from its bits."""
         if self.b > 1:
-            words, ops = self._words(population), None
-            if self.fresh is not None and np.array_equal(self.fresh[0], words):
-                ops = self.fresh[1]
+            words = self._words(population)
             self.member_words[: len(words)] = words
-            self.pool[: len(words) * self.nb] = self._ops(words) if ops is None else ops
-            self.fresh = None
+            self.pool[: len(words) * self.nb] = self._ops(words)
 
     def offspring(
         self, children: np.ndarray, heads: np.ndarray, tails: np.ndarray
     ) -> np.ndarray:
-        """Final fitness of children, each from the block ops of its parents
+        """Fitness of children, each from the block ops of its parents
         heads and tails (population rows) where their words agree; the
         children's ops stay in the pool for ``adopt``."""
         if self.b == 1:
@@ -335,9 +333,8 @@ class _FitnessEngine:
         new = src == own
         self.pool[own[new]] = self._ops(words[new])
         self.src = src
-        return self._cached(
-            children, lambda todo: self._score(children[todo], (self.pool, src[todo]))
-        )
+        return self._cached(children, lambda todo: self._score(
+            self._columns(children[todo], (self.pool, src[todo]))))
 
     def adopt(self, kids: np.ndarray, slots: np.ndarray) -> None:
         """Children kids of the last ``offspring`` take population rows
@@ -516,7 +513,8 @@ def run_ga(
         raise ValueError("search needs at least one control channel")
 
     t0 = time.perf_counter()
-    engine = _FitnessEngine(system, target, num_cycles, config)
+    cycles = precompute(system)
+    engine = _FitnessEngine(cycles, target, num_cycles, config)
     fingerprint = _fingerprint(system, target, num_cycles)
     nch = len(system.channels)
     p, s = config.population_size, config.selection_size
@@ -525,8 +523,7 @@ def run_ga(
 
     if resume_from is not None:
         state = load_checkpoint(resume_from, system, target, num_cycles, config)
-        population = state["population"]
-        fitness = engine.final(population, state["fitness"])
+        population, fitness = state["population"], state["fitness"]
         rng.bit_generator.state = state["rng_state"]
         start_iter = state["iteration"]
     else:
@@ -550,7 +547,6 @@ def run_ga(
 
     iteration = start_iter
     periodic = checkpoint_path is not None and checkpoint_every > 0
-    # Scores at or above the target are canonical (_FitnessEngine.final).
     while fitness.max() < config.target_fidelity and iteration < config.max_iterations:
         iteration += 1
         order_desc = np.argsort(-fitness, kind="stable")
@@ -584,7 +580,7 @@ def run_ga(
     best_idx = int(np.argmax(fitness))
     reached = fitness[best_idx] >= config.target_fidelity
     breakdown = evaluate_fitness(
-        engine.cycles, PulseSchedule(population[best_idx]), target, config.metric
+        cycles, PulseSchedule(population[best_idx]), target, config=config
     )
     if checkpoint_path is not None:
         save()

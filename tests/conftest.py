@@ -52,6 +52,30 @@ def stepwise(mats, bits):
     return u
 
 
+def learning_block(cycles, bits):
+    """The rest-frame learning block of bits (nch, N) by the plain loop: the
+    independent reference of every learning-space score."""
+    system = cycles.system
+    learn = system.learn_indices
+    mats = cycles.combos[:, learn][:, :, learn]
+    frame = np.exp(1j * system.bare_energies[learn] * bits.shape[-1] * system.clock_period)
+    return frame[:, None] * stepwise(mats, bits)
+
+
+def stepwise_scores(cycles, bits, target):
+    """{"f1", "f2", "norm_loss"} of bits by the public metrics on the
+    computational block of ``learning_block``; norm_loss is what its
+    computational columns lose from the learning subspace."""
+    comp = cycles.system.comp_indices
+    columns = learning_block(cycles, bits)[:, comp]
+    block = columns[comp]
+    return {
+        "f1": sc.avg_fidelity_f1(block, target),
+        "f2": sc.rz_fidelity_f2(block, target)[0],
+        "norm_loss": 1.0 - float(np.sum(np.abs(columns) ** 2)) / len(comp),
+    }
+
+
 @st.composite
 def random_problems(draw):
     """A random 1-2 qubit system (transmon or fluxonium), z-only or mixed

@@ -205,7 +205,7 @@ def test_word_sizes_of_the_named_problems(transmon_pair):
         (make_pair_system(q0, q1, j_ghz=0.05, channels=z1), cz, 1250, 8),  # criterion 6
     ]
     for system, target, n, k in named:
-        engine = _FitnessEngine(system, target, n, GaConfig())
+        engine = _FitnessEngine(sc.precompute(system), target, n, GaConfig())
         assert 1 << (len(engine.tables) - 1) == k
     # canonical 25 x 25 learning block, then 4 columns on 49 and 81 states
     assert [_word_size(2, 25, 25, 5000), _word_size(2, 49, 4, 5000),

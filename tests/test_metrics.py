@@ -6,16 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sfq_control as sc
-from conftest import GHZ, make_pair_system, random_unitary
+from conftest import GHZ, learning_block, make_pair_system, random_unitary
 from sfq_control.metrics import (
     _f2_batch,
     agreement_f1,
     avg_fidelity_f1,
     avg_leakage,
     gate_breakdown,
-    projected_breakdown,
     rz_fidelity_f2,
 )
+from sfq_control.search import evaluate_fitness
 from sfq_control.system import assemble, lookup_target
 
 
@@ -66,25 +66,34 @@ class TestF1:
             )
 
     def test_uses_computational_block_of_learning_space(self, transmon_pair):
-        # learning space 3 levels/qubit: rows/cols {0,1,3,4} are scored
-        q0, q1 = transmon_pair
-        system = assemble([q0, q1], 3, 4, 0.05 * GHZ)
-        u = np.zeros((9, 9), complex)
+        # learning space 3 levels/qubit: rows/cols {0,1,3,4} are scored, and
+        # norm_loss is what columns {0,1,3,4} lose from all nine rows
+        channels = [sc.ControlChannel(0, "x", 0.2), sc.ControlChannel(1, "z", 0.3)]
+        system = assemble(transmon_pair, 3, 4, 0.05 * GHZ, channels)
         comp = [0, 1, 3, 4]
-        u[np.ix_(comp, comp)] = lookup_target("CZ").matrix
-        bd = projected_breakdown(u, system, lookup_target("CZ"))
-        assert bd.f1 == pytest.approx(1.0)
+        assert system.comp_indices.tolist() == comp
+        cycles = sc.precompute(system)
+        bits = np.random.default_rng(3).integers(0, 2, size=(2, 30), dtype=np.uint8)
+        u = learning_block(cycles, bits)
+        target = lookup_target("CZ")
+        bd = evaluate_fitness(cycles, sc.PulseSchedule(bits), target)
+        block = u[np.ix_(comp, comp)]
+        want = (score_f1(block, "CZ"), score_f2(block, "CZ")[0],
+                1.0 - np.sum(np.abs(u[:, comp]) ** 2) / 4)
+        np.testing.assert_allclose((bd.f1, bd.f2, bd.norm_loss), want, rtol=0, atol=1e-12)
+        assert bd.norm_loss > 1e-6 and bd.leakage is None
 
     def test_validation(self, transmon_pair):
         with pytest.raises(ValueError):
             score_f1(np.eye(3), "I")
         with pytest.raises(ValueError):
             score_f2(np.eye(4), "I")
-        system = assemble(transmon_pair, 2, 3, 0.05 * GHZ)
-        with pytest.raises(ValueError, match="learning space"):
-            projected_breakdown(np.eye(9), system, lookup_target("CZ"))
+        system = assemble(transmon_pair, 2, 3, 0.05 * GHZ, [sc.ControlChannel(0, "z", 0.1)])
+        cycles = sc.precompute(system)
+        with pytest.raises(ValueError, match="channels"):
+            evaluate_fitness(cycles, sc.PulseSchedule.zeros(2, 4), lookup_target("CZ"))
         with pytest.raises(ValueError, match="computational block"):
-            projected_breakdown(np.eye(4), system, lookup_target("X"))
+            evaluate_fitness(cycles, sc.PulseSchedule.zeros(1, 4), lookup_target("X"))
 
 
 def brute_force_f2(a, target, n_grid=480):

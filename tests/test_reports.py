@@ -1,15 +1,19 @@
 """Report files: exact float round trips and the wide re-evaluation row."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sfq_control import propagate
-from sfq_control.config import build_system, parse_config_text
+from conftest import stepwise_scores
+from sfq_control import propagate, search
+from sfq_control.config import build_system, parse_config, parse_config_text
 from sfq_control.metrics import gate_breakdown
-from sfq_control.propagate import PulseSchedule, evolve_full, precompute
+from sfq_control.propagate import PulseSchedule, evolve_full, precompute, read_bitstreams
 from sfq_control.reports import evaluate_gate, read_report, write_report
+
+DATA = Path(__file__).parent / "data"
 
 CONFIG = """
 [qubit0]
@@ -119,19 +123,20 @@ class TestEvaluateGate:
             assert abs(got - full) <= 1e-12
 
     def test_only_computational_columns_are_evolved(self, monkeypatch):
-        # at n_levels 2 the canonical learning block is the 4 computational
-        # columns too, so no evolution of the report may start from more
+        # the learning-space score and both full-space rows evolve the 4
+        # computational columns, so no evolution of the report starts from more
         real, widths = propagate._evolve, []
 
-        def recording(system, tables, bits, start, rows):
+        def recording(system, tables, bits, start, rows, blocks=None):
             widths.append(start.shape[-1])
-            return real(system, tables, bits, start, rows)
+            return real(system, tables, bits, start, rows, blocks)
 
         monkeypatch.setattr(propagate, "_evolve", recording)
+        monkeypatch.setattr(search, "_evolve", recording)
         cfg = pair_config("x0 = 0.03\nx1 = 0.03", 0.16, 2, 3)
         schedule = PulseSchedule.random(np.random.default_rng(4), 2, cfg.num_cycles)
         evaluate_gate(cfg, schedule)
-        assert len(widths) == 3  # canonical, n_sim and n_sim + 2
+        assert len(widths) == 3  # the score, n_sim and n_sim + 2
         assert max(widths) <= 2**2
 
     def test_reports_chain_words_of_several_cycles(self, monkeypatch):
@@ -150,6 +155,19 @@ class TestEvaluateGate:
         schedule = PulseSchedule.random(np.random.default_rng(6), 2, cfg.num_cycles)
         evaluate_gate(cfg, schedule)
         assert 0 < sum(words) <= 3 * 5000 // 2
+
+    def test_norm_loss_is_what_the_computational_columns_lose(self):
+        # on the regression problem: 1 - ||computational columns of the
+        # plain per-cycle learning block||^2 / 2^q, the number its recorded
+        # report holds
+        cfg = parse_config(DATA / "regression.ini")
+        schedule, _, _ = read_bitstreams(DATA / "regression_bitstream.txt")
+        report = evaluate_gate(cfg, schedule)
+        cycles = precompute(build_system(cfg))
+        want = stepwise_scores(cycles, schedule.bits, cfg.target())["norm_loss"]
+        assert report.norm_loss == pytest.approx(want, rel=0, abs=1e-12)
+        recorded = read_report(DATA / "regression_report.txt").norm_loss
+        assert recorded == pytest.approx(want, rel=0, abs=1e-12)
 
 
 class TestRoundTrip:

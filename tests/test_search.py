@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 import sfq_control as sc
 from scipy.stats import chi2
 
-from conftest import GHZ, make_pair_system, random_problems, stepwise
+from conftest import GHZ, make_pair_system, random_problems, stepwise_scores
 from sfq_control import propagate, search
 from sfq_control.config import build_system, parse_config
-from sfq_control.metrics import projected_breakdown
 from sfq_control.propagate import PulseSchedule, precompute
 from sfq_control.search import (
     CheckpointError,
@@ -55,6 +54,11 @@ def single_qubit_system():
     q = sc.transmon_levels(3.9 * GHZ, -0.225 * GHZ, 6)
     channels = [ControlChannel(0, "x", 0.03), ControlChannel(0, "z", 0.03)]
     return assemble([q], n_levels=3, n_sim_levels=4, channels=channels)
+
+
+@pytest.fixture(scope="module")
+def single_qubit_cycles(single_qubit_system):
+    return precompute(single_qubit_system)
 
 
 @pytest.fixture(scope="module")
@@ -168,12 +172,10 @@ class TestBatchEngine:
             rng = np.random.default_rng(12)
             bits = rng.integers(0, 2, size=(8, 2, 40), dtype=np.uint8)
             for metric in ("f1", "f2"):
-                engine = _FitnessEngine(system, target, 40, GaConfig(metric=metric))
+                engine = _FitnessEngine(cycles, target, 40, GaConfig(metric=metric))
                 batch = engine.fitness(bits)
                 for i in range(8):
-                    ref = evaluate_fitness(
-                        cycles, PulseSchedule(bits[i]), target, metric
-                    ).value(metric)
+                    ref = stepwise_scores(cycles, bits[i], target)[metric]
                     assert batch[i] == pytest.approx(ref, abs=1e-12), label
 
     @pytest.mark.parametrize("problem", ["search_z", "cli", "regression"])
@@ -184,7 +186,7 @@ class TestBatchEngine:
         rng = np.random.default_rng(14)
         bits = rng.integers(0, 2, size=(64, len(system.channels), n), dtype=np.uint8)
         for metric in ("f1", "f2"):
-            engine = _FitnessEngine(system, target, n, GaConfig(metric=metric))
+            engine = _FitnessEngine(precompute(system), target, n, GaConfig(metric=metric))
             whole = engine._fitness_batch(bits)
             alone = [engine._fitness_batch(bits[i : i + 1])[0] for i in range(64)]
             np.testing.assert_array_equal(alone, whole)
@@ -202,7 +204,7 @@ class TestBatchEngine:
         # and only they reuse block products (b > 1); the 25-state search
         # keeps the plain chain, whose pool would cost more than its searches
         system, target, n = named_problem(transmon_pair, problem)
-        engine = _FitnessEngine(system, target, n, GaConfig())
+        engine = _FitnessEngine(precompute(system), target, n, GaConfig())
         assert len(engine.rows) == states
         assert {t.dtype.kind for t in engine.tables} == {kind}
         assert (engine.b > 1) == (kind == "f")
@@ -229,13 +231,13 @@ class TestBatchEngine:
                                                target_fidelity=1.0, seed=7))
             return sum(products)
 
-        engine = _FitnessEngine(system, target, n, GaConfig())
+        engine = _FitnessEngine(precompute(system), target, n, GaConfig())
         assert engine.whole == 78 and engine.b > 1
         per_child = (products_of(2) - products_of(1)) / 60
         assert per_child <= -(-78 // engine.b) + 2 * engine.b
 
-    def test_cache_skips_repeat_evaluations(self, single_qubit_system):
-        engine = _FitnessEngine(single_qubit_system, lookup_target("X"), 30, GaConfig())
+    def test_cache_skips_repeat_evaluations(self, single_qubit_cycles):
+        engine = _FitnessEngine(single_qubit_cycles, lookup_target("X"), 30, GaConfig())
         rng = np.random.default_rng(13)
         bits = rng.integers(0, 2, size=(5, 2, 30), dtype=np.uint8)
         first = engine.fitness(bits)
@@ -244,9 +246,9 @@ class TestBatchEngine:
         assert engine.n_evaluations == count
         np.testing.assert_array_equal(first, second)
 
-    def test_cache_keys_are_packed_bits(self, single_qubit_system):
+    def test_cache_keys_are_packed_bits(self, single_qubit_cycles):
         # 2 channels x 30 cycles = 60 bits -> 8 bytes per key, not 60
-        engine = _FitnessEngine(single_qubit_system, lookup_target("X"), 30, GaConfig())
+        engine = _FitnessEngine(single_qubit_cycles, lookup_target("X"), 30, GaConfig())
         rng = np.random.default_rng(14)
         bits = rng.integers(0, 2, size=(4, 2, 30), dtype=np.uint8)
         repeated = np.concatenate([bits, bits[::-1]])
@@ -259,8 +261,8 @@ class TestBatchEngine:
         assert engine.n_evaluations == count
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_batch_score_raises(self, single_qubit_system, monkeypatch, bad):
-        engine = _FitnessEngine(single_qubit_system, lookup_target("X"), 30, GaConfig())
+    def test_non_finite_batch_score_raises(self, single_qubit_cycles, monkeypatch, bad):
+        engine = _FitnessEngine(single_qubit_cycles, lookup_target("X"), 30, GaConfig())
         monkeypatch.setattr(
             engine, "_fitness_batch", lambda bits: np.full(len(bits), bad)
         )
@@ -268,31 +270,6 @@ class TestBatchEngine:
         with pytest.raises(ValueError, match="not finite"):
             engine.fitness(bits)
         assert engine.cache == {}
-
-    def test_target_scores_are_canonical(self, single_qubit_system, monkeypatch):
-        # batch scores at or above the target are replaced by the canonical
-        # score, once per distinct bits; lower ones are kept as they are
-        target = lookup_target("X")
-        cfg = GaConfig(target_fidelity=0.5)
-        engine = _FitnessEngine(single_qubit_system, target, 30, cfg)
-        rng = np.random.default_rng(15)
-        bits = rng.integers(0, 2, size=(3, 2, 30), dtype=np.uint8)
-        bits[2] = bits[0]
-        monkeypatch.setattr(
-            engine, "_fitness_batch", lambda b: np.array([0.9, 0.1, 0.9])
-        )
-        calls = []
-        real_evaluate = search.evaluate_fitness
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real_evaluate(*args, **kwargs)
-
-        monkeypatch.setattr(search, "evaluate_fitness", counting)
-        scores = engine.fitness(bits)
-        want = real_evaluate(engine.cycles, PulseSchedule(bits[0]), target, "f2").f2
-        assert scores.tolist() == [want, 0.1, want]
-        assert len(calls) == 1
 
 
 class TestDraws:
@@ -359,10 +336,21 @@ class TestRunGa:
     def test_history_is_monotone(self, single_qubit_system, tiny_config):
         result = run_ga(single_qubit_system, lookup_target("X"), 50, tiny_config)
         assert np.all(np.diff(result.history) >= 0)
-        # history holds batch scores, best.fitness the canonical one; the two
-        # chain the same cycles in a different association
-        assert result.history[-1] == pytest.approx(result.best.fitness, abs=1e-12)
         assert len(result.history) == result.iterations_used
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_search_stops_on_the_number_it_reports(self, single_qubit_system, seed):
+        # history holds the kept scores and best.fitness the reported one:
+        # they are one number, so a reached target is a reported one.  X is
+        # out of reach in 40 cycles here, I is reached in under 50 iterations
+        for name, metric, reached in (("X", "f2", False), ("I", "f1", True)):
+            cfg = GaConfig(population_size=20, selection_size=12,
+                           mutation_probability=0.01, max_iterations=100,
+                           target_fidelity=0.999, metric=metric, seed=seed)
+            result = run_ga(single_qubit_system, lookup_target(name), 40, cfg)
+            assert result.history[-1] == result.best.fitness
+            assert (result.terminated_by == "target_reached") == reached
+            assert (result.best.fitness >= cfg.target_fidelity) == reached
 
     def test_identity_target_converges(self, single_qubit_system):
         # f1 keeps accumulated phases visible, so this is a real search
@@ -380,44 +368,19 @@ class TestRunGa:
         assert result.best.fitness >= 0.999
         assert result.iterations_used < 500
 
-    def test_best_fitness_matches_canonical(self, single_qubit_system, tiny_config):
-        result = run_ga(single_qubit_system, lookup_target("X"), 50, tiny_config)
-        cycles = precompute(single_qubit_system)
-        bd = evaluate_fitness(
-            cycles, result.best.schedule(), lookup_target("X"), tiny_config.metric
-        )
+    def test_best_fitness_matches_canonical(self, single_qubit_cycles, tiny_config):
+        # the reported breakdown is evaluate_fitness under the search's
+        # config, bit for bit, and the plain per-cycle product within 1e-12
+        target = lookup_target("X")
+        result = run_ga(single_qubit_cycles.system, target, 50, tiny_config)
+        bd = evaluate_fitness(single_qubit_cycles, result.best.schedule(), target,
+                              tiny_config.metric, tiny_config)
+        assert result.breakdown == bd
         assert result.best.fitness == bd.value(tiny_config.metric)
+        ref = stepwise_scores(single_qubit_cycles, result.best.bits, target)
+        for name in ("f1", "f2", "norm_loss"):
+            assert getattr(bd, name) == pytest.approx(ref[name], abs=1e-12), name
         assert result.error == pytest.approx(1.0 - result.best.fitness)
-
-    def test_batch_only_pass_is_rescored_once(
-        self, single_qubit_system, tiny_config, monkeypatch
-    ):
-        # The first batch claims individual 0 meets the target; its canonical
-        # score does not.  That score is written back, so the canonical path
-        # runs once for it and once for the final report, not every iteration.
-        calls = {"batch": 0, "canonical": 0}
-        real_batch = search._FitnessEngine._fitness_batch
-        real_evaluate = search.evaluate_fitness
-
-        def nudged(self, bits):
-            f = real_batch(self, bits)
-            calls["batch"] += 1
-            if calls["batch"] == 1:
-                f[0] = 1.0
-            return f
-
-        def counting(*args, **kwargs):
-            calls["canonical"] += 1
-            return real_evaluate(*args, **kwargs)
-
-        monkeypatch.setattr(search._FitnessEngine, "_fitness_batch", nudged)
-        monkeypatch.setattr(search, "evaluate_fitness", counting)
-        cfg = replace(tiny_config, max_iterations=20)
-        result = run_ga(single_qubit_system, lookup_target("X"), 30, cfg)
-        assert result.terminated_by == "max_iterations"
-        assert result.iterations_used == 20
-        assert calls["canonical"] == 2
-        assert np.all(result.history < cfg.target_fidelity)
 
     def test_wall_time_counts_setup_and_first_scores(
         self, single_qubit_system, tiny_config, monkeypatch
@@ -523,26 +486,6 @@ class TestCheckpoint:
                 replace(cfg, seed=8),
                 resume_from=path,
             )
-
-    def test_resumed_batch_only_pass_is_rescored(
-        self, single_qubit_system, tiny_config, tmp_path
-    ):
-        # An older checkpoint may hold a batch score that passes the target
-        # while the canonical score does not; resuming re-scores it.
-        path = tmp_path / "ck.txt"
-        target = lookup_target("X")
-        run_ga(single_qubit_system, target, 30, replace(tiny_config, max_iterations=5),
-               checkpoint_path=path)
-        cp = ConfigParser()
-        cp.read(path)
-        cp["population"]["fitness_0"] = (1.0).hex()
-        with open(path, "w") as fh:
-            cp.write(fh)
-        longer = replace(tiny_config, max_iterations=8)
-        result = run_ga(single_qubit_system, target, 30, longer, resume_from=path)
-        assert result.terminated_by == "max_iterations"
-        assert result.iterations_used == 8
-        assert np.all(result.history < longer.target_fidelity)
 
     def test_resume_may_extend_budget(self, single_qubit_system, tmp_path):
         path = tmp_path / "ck.txt"
@@ -669,12 +612,12 @@ def test_engine_chains_only_the_reachable_states(problem):
     if any(c.axis == "x" for c in system.channels):
         assert reach.tolist() == learn.tolist()
     target = lookup_target("CZ" if system.num_qubits == 2 else "X")
+    refs = [stepwise_scores(cycles, row, target) for row in bits]
     for metric in ("f1", "f2"):
-        engine = _FitnessEngine(system, target, bits.shape[-1], GaConfig(metric=metric))
+        engine = _FitnessEngine(cycles, target, bits.shape[-1], GaConfig(metric=metric))
         batch = engine._fitness_batch(bits)
-        for row, score in zip(bits, batch):
-            ref = evaluate_fitness(cycles, PulseSchedule(row), target, metric)
-            assert abs(score - ref.value(metric)) <= 1e-12
+        for score, ref in zip(batch, refs):
+            assert abs(score - ref[metric]) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -688,14 +631,12 @@ def test_block_reuse_scores_are_the_fresh_scores(problem, n, metric, data):
     target = lookup_target("CZ" if system.num_qubits == 2 else "X")
     config = GaConfig(population_size=p, selection_size=s, target_fidelity=1.0,
                       metric=metric)
-    engine = _FitnessEngine(system, target, n, config)
+    cycles = precompute(system)
+    engine = _FitnessEngine(cycles, target, n, config)
     assert len(engine.rows) <= search._REAL_STATES
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     population = rng.integers(0, 2, size=(p, nch, n), dtype=np.uint8)
     engine.keep(population)
-    learn = system.learn_indices
-    frame = np.exp(1j * system.bare_energies[learn] * n * system.clock_period)
-    mats = engine.cycles.combos[:, learn][:, :, learn]
     slots = np.array([], dtype=int)
     for _ in range(2):
         heads = rng.integers(0, p, size=s)
@@ -712,12 +653,11 @@ def test_block_reuse_scores_are_the_fresh_scores(problem, n, metric, data):
         children[0] = population[heads[0]]  # a child equal to its parent
         engine.cache.clear()
         scores = engine.offspring(children, heads, tails)
-        fresh = engine.final(children, engine._fitness_batch(children))
+        fresh = engine._fitness_batch(children)
         assert scores.tolist() == fresh.tolist()
+        assert engine.breakdown(children[1]).value(metric) == scores[1]
         for row, score in zip(children, scores):
-            matrix = frame[:, None] * stepwise(mats, row)
-            ref = projected_breakdown(matrix, system, target).value(metric)
-            assert abs(score - ref) <= 1e-12
+            assert abs(score - stepwise_scores(cycles, row, target)[metric]) <= 1e-12
         w = data.draw(st.integers(1, s))
         kids, slots = rng.permutation(s)[:w], rng.permutation(p)[:w]
         engine.adopt(kids, slots)

@@ -43,7 +43,7 @@ from .search import load_checkpoint, run_ga
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_NO_CONVERGENCE = 3
+EXIT_UNFINISHED = 3  # no convergence, or an interrupted sweep
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -184,7 +184,7 @@ def cmd_learn(args) -> int:
     if result.terminated_by != "target_reached":
         print("search stopped at the iteration budget before reaching the "
               "target fidelity", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        return EXIT_UNFINISHED
     return EXIT_OK
 
 
@@ -260,28 +260,35 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "sweep.csv"
     rows = [["value", "error_f1", "error_f2", "leakage", "iterations", "seconds"]]
-    for i, (value, variant, system) in enumerate(zip(values, variants, systems)):
-        ga = replace(variant.ga, seed=cfg.ga.seed + i)
-        try:
-            result = run_ga(system, variant.target(), variant.num_cycles, ga)
-            report = evaluate_gate(variant, search=result)
-            rows.append([
-                repr(value),
-                repr(1.0 - report.f1),
-                repr(1.0 - report.f2),
-                repr(report.leakage),
-                str(result.iterations_used),
-                repr(result.wall_time_s),
-            ])
-            print(f"{args.param} = {value}: error = "
-                  f"{1.0 - result.best.fitness:.3e} "
-                  f"({result.iterations_used} iterations)")
-        except ValueError as exc:  # ConfigError included; keep sweeping
-            rows.append([repr(value), "", "", "", "", ""])
-            print(f"warning: point {args.param} = {value} failed: {exc}",
-                  file=sys.stderr)
-        with atomic_open(csv_path) as fh:  # every finished point survives a stop
-            csv.writer(fh).writerows(rows)
+    kept = 0
+    try:
+        for i, (value, variant, system) in enumerate(zip(values, variants, systems)):
+            ga = replace(variant.ga, seed=cfg.ga.seed + i)
+            try:
+                result = run_ga(system, variant.target(), variant.num_cycles, ga)
+                report = evaluate_gate(variant, search=result)
+                rows.append([
+                    repr(value),
+                    repr(1.0 - report.f1),
+                    repr(1.0 - report.f2),
+                    repr(report.leakage),
+                    str(result.iterations_used),
+                    repr(result.wall_time_s),
+                ])
+                print(f"{args.param} = {value}: error = "
+                      f"{1.0 - result.best.fitness:.3e} "
+                      f"({result.iterations_used} iterations)")
+            except ValueError as exc:  # ConfigError included; keep sweeping
+                rows.append([repr(value), "", "", "", "", ""])
+                print(f"warning: point {args.param} = {value} failed: {exc}",
+                      file=sys.stderr)
+            with atomic_open(csv_path) as fh:  # every finished point survives a stop
+                csv.writer(fh).writerows(rows)
+            kept = len(rows) - 1
+    except KeyboardInterrupt:
+        print(f"error: sweep interrupted; {csv_path} keeps {kept} of "
+              f"{len(values)} points", file=sys.stderr)
+        return EXIT_UNFINISHED
     print(f"sweep written to {csv_path}")
     return EXIT_OK
 
@@ -333,7 +340,7 @@ def cmd_oracle(args) -> int:
         )
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        return EXIT_UNFINISHED
     except ValueError as exc:  # --substeps or --pulse-width-ps out of range
         raise ConfigError(str(exc)) from exc
     u_delta = evolve_full(precompute(system), schedule)

@@ -91,11 +91,12 @@ def _f2_batch(a: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     For two qubits, with D = diag(1, y, x, xy), tr(T^dag D A) = p + x q for
     p = w0 + w1 y, q = w2 + w3 y; theta = arg y maximizes g = |p| + |q| on a
-    grid, then by 8 Newton steps: per term t = c0 + c1 y, with s = conj(t) t'
+    grid, then by Newton steps: per term t = c0 + c1 y, with s = conj(t) t'
     and r = Im(s) / |t|, |t|' = Re(s) / |t| and |t|'' = r^2 / |t| - r (0 where
     t = 0); no step where g'' is not negative or is NaN, none longer than a
-    grid spacing.  For one qubit (p, q) = (w0, w1).  One closed-form tail
-    ends both: sup over |x| = 1 of |p + x q| is |p| + |q|, at arg p - arg q.
+    grid spacing; a row stops after a step of at most 1e-9 rad, or its 8th.
+    For one qubit (p, q) = (w0, w1).  One closed-form tail ends both: sup
+    over |x| = 1 of |p + x q| is |p| + |q|, at arg p - arg q.
     """
     d = target.shape[0]
     gamma = np.sum(np.abs(a) ** 2, axis=(1, 2))
@@ -105,6 +106,7 @@ def _f2_batch(a: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray
         c0, c1 = w[:, 0::2], w[:, 1::2]  # columns p and q: c0 + c1 y
         grid_g = np.abs(c0[..., None] + c1[..., None] * _GRID_PHASES).sum(axis=1)
         theta = _GRID[np.argmax(grid_g, axis=1)]
+        live = np.ones(len(w), dtype=bool)  # per row: no score depends on its batch
         for _ in range(8):
             y = np.exp(1j * theta)[:, None]
             t = c0 + c1 * y
@@ -112,8 +114,11 @@ def _f2_batch(a: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray
             s = np.conj(t) * 1j * c1 * y
             r = s.imag * inv
             g1, g2 = (s.real * inv).sum(axis=1), (r * (r * inv - 1.0)).sum(axis=1)
-            step = np.divide(g1, -g2, out=np.zeros(len(w)), where=g2 < 0)
+            step = np.divide(g1, -g2, out=np.zeros(len(w)), where=live & (g2 < 0))
             theta = theta + np.clip(step, -_GRID[1], _GRID[1])
+            live &= np.abs(step) > 1e-9  # the next would be ~1e-18 rad, below an ulp
+            if not live.any():
+                break
         p, q = (c0 + c1 * np.exp(1j * theta)[:, None]).T
         angles.append(theta)
     g = np.abs(p) + np.abs(q)

@@ -12,6 +12,7 @@ exactly.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import time
@@ -143,18 +144,20 @@ def crossover(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Single-point crossover, same cut position on every channel.
 
-    Parents are (channels, cycles) arrays with one cut, or stacked pairs
-    (pairs, channels, cycles) with one cut per pair.
+    Parents are 0/1 bit arrays, (channels, cycles) with one cut, or stacked
+    pairs (pairs, channels, cycles) with one cut per pair.  The tails past
+    the cut swap where the parents differ.
     """
     if parent_a.shape != parent_b.shape:
         raise ValueError("parents must have identical shape")
     cuts = np.asarray(cut)
     if cuts.dtype.kind not in "iu":
         raise TypeError("cut must be an integer")
-    if np.any((cuts < 0) | (cuts > parent_a.shape[-1])):
+    n = parent_a.shape[-1]
+    if cuts.size and (cuts.min() < 0 or cuts.max() > n):
         raise ValueError("cut must lie in [0, num_cycles]")
-    head = np.arange(parent_a.shape[-1]) < cuts[..., None, None]
-    return np.where(head, parent_a, parent_b), np.where(head, parent_b, parent_a)
+    swap = (parent_a ^ parent_b) & (np.arange(n) >= cuts[..., None, None])
+    return parent_a ^ swap, parent_b ^ swap
 
 
 # -- batched fitness -----------------------------------------------------------
@@ -167,7 +170,6 @@ def crossover(
 # OpenBLAS 0.3.31 on one thread of a 2-vCPU x86-64 host).  The rule reads
 # only the state count, so a seed gives the same run on every machine.
 _REAL_STATES = 16
-_CACHE_ENTRIES = 100_000  # scores the de-duplication cache holds at most
 
 
 def _block_size(words: int, slots: int, slot_bytes: int) -> int:
@@ -239,7 +241,6 @@ class _FitnessEngine:
             self.tables[-1] = self.store[:-1]
             self.pool = np.empty((slots * self.nb, 2 * d, 2 * d))
             self.member_words = np.zeros((slots, self.nb, self.b), dtype=np.int64)
-        self.cache: dict[bytes, float] = {}
         self.n_evaluations = 0
 
     def _words(self, bits: np.ndarray) -> np.ndarray:
@@ -277,6 +278,13 @@ class _FitnessEngine:
         """Batch scores of bits, every block op built afresh."""
         return self._score(self._columns(bits))
 
+    def _checked(self, scores: np.ndarray) -> np.ndarray:
+        """Count the scores of a batch; ValueError if one is not finite."""
+        if not np.all(np.isfinite(scores)):
+            raise ValueError("batch fitness is not finite")
+        self.n_evaluations += len(scores)
+        return scores
+
     def breakdown(self, bits: np.ndarray) -> FidelityBreakdown:
         """The breakdown of one candidate bits (nch, N): f1 and f2 equal
         its batch score, norm_loss is what its columns lose from the
@@ -285,26 +293,8 @@ class _FitnessEngine:
         return _block_breakdown(m[self.comp], self.target, norm_loss=_lost(m))
 
     def fitness(self, bits: np.ndarray) -> np.ndarray:
-        """Batch fitness with a de-duplication cache keyed by the packed
-        bits."""
-        return self._cached(bits, lambda todo: self._fitness_batch(bits[todo]))
-
-    def _cached(self, bits: np.ndarray, score) -> np.ndarray:
-        """Scores of bits: cached ones from the cache, the rows todo not in
-        it from score(todo).  ValueError if a score is not finite."""
-        packed = np.packbits(bits.reshape(len(bits), -1), axis=1)
-        keys = [row.tobytes() for row in packed]
-        out = np.array([self.cache.get(key, np.nan) for key in keys])
-        todo = np.flatnonzero(np.isnan(out))
-        if todo.size:
-            out[todo] = score(todo)
-            if not np.all(np.isfinite(out[todo])):
-                raise ValueError("batch fitness is not finite")
-            self.n_evaluations += todo.size
-            if len(self.cache) + todo.size > _CACHE_ENTRIES:
-                self.cache.clear()
-            self.cache.update((keys[i], float(out[i])) for i in todo)
-        return out
+        """Batch fitness of bits, every row scored."""
+        return self._checked(self._fitness_batch(bits))
 
     def keep(self, population: np.ndarray) -> None:
         """Build the pool of the population's block ops from its bits."""
@@ -333,8 +323,7 @@ class _FitnessEngine:
         new = src == own
         self.pool[own[new]] = self._ops(words[new])
         self.src = src
-        return self._cached(children, lambda todo: self._score(
-            self._columns(children[todo], (self.pool, src[todo]))))
+        return self._checked(self._score(self._columns(children, (self.pool, src))))
 
     def adopt(self, kids: np.ndarray, slots: np.ndarray) -> None:
         """Children kids of the last ``offspring`` take population rows
@@ -357,8 +346,6 @@ class CheckpointError(ValueError):
 
 
 def _fingerprint(system: CoupledSystem, target: GateTarget, num_cycles: int) -> str:
-    import hashlib
-
     h = hashlib.sha256()
     h.update(system.h_static.tobytes())
     h.update(np.asarray(system.bare_energies).tobytes())

@@ -390,7 +390,9 @@ class TestSweep:
         assert lines[2] == "0.025,,,,,"
         assert "solver blew up" in capsys.readouterr().err
 
-    def test_interrupt_keeps_finished_points(self, fast_config, tmp_path, monkeypatch):
+    def test_interrupt_keeps_finished_points(
+        self, fast_config, tmp_path, monkeypatch, capsys
+    ):
         from sfq_control.search import run_ga as real_run_ga
 
         calls = []
@@ -403,12 +405,14 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "run_ga", interrupted)
         out = tmp_path / "sweep"
-        with pytest.raises(KeyboardInterrupt):
-            cli.main(
-                ["sweep", "--config", str(fast_config), "--out-dir", str(out),
-                 "--param", "tip_angle", "--values", "0.02,0.025,0.03",
-                 "--max-iters", "10"]
-            )
+        rc = cli.main(
+            ["sweep", "--config", str(fast_config), "--out-dir", str(out),
+             "--param", "tip_angle", "--values", "0.02,0.025,0.03",
+             "--max-iters", "10"]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: sweep interrupted; {out / 'sweep.csv'} keeps 1 of 3 points"]
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "value,error_f1,error_f2,leakage,iterations,seconds"
         assert len(lines) == 2

@@ -15,7 +15,7 @@ import sfq_control as sc
 from scipy.stats import chi2
 
 from conftest import GHZ, make_pair_system, random_problems, stepwise_scores
-from sfq_control import propagate, search
+from sfq_control import metrics, propagate, search
 from sfq_control.config import build_system, parse_config
 from sfq_control.propagate import PulseSchedule, precompute
 from sfq_control.search import (
@@ -116,6 +116,23 @@ class TestCrossover:
             crossover(a, a, 1.5)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4), st.integers(1, 3), st.integers(0, 40), st.data())
+def test_crossover_swaps_the_tails(pairs, nch, n, data):
+    # the where-definition of single-point crossover, for one pair
+    # (pairs == 0) or stacked pairs, with cuts at either end or anywhere
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = (nch, n) if pairs == 0 else (pairs, nch, n)
+    a, b = rng.integers(0, 2, size=(2, *shape), dtype=np.uint8)
+    cut = st.one_of(st.just(0), st.just(n), st.integers(0, n))
+    cuts = data.draw(cut if pairs == 0 else st.lists(cut, min_size=pairs, max_size=pairs))
+    head = np.arange(n) < np.asarray(cuts)[..., None, None]
+    ca, cb = crossover(a, b, cuts if pairs == 0 else np.array(cuts))
+    assert ca.dtype == cb.dtype == np.uint8
+    np.testing.assert_array_equal(ca, np.where(head, a, b))
+    np.testing.assert_array_equal(cb, np.where(head, b, a))
+
+
 class TestGaConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -180,7 +197,7 @@ class TestBatchEngine:
 
     @pytest.mark.parametrize("problem", ["search_z", "cli", "regression"])
     def test_score_does_not_depend_on_the_batch(self, transmon_pair, problem):
-        # the cache and bit-for-bit resume need a row's score to be a pure
+        # block reuse and bit-for-bit resume need a row's score to be a pure
         # function of its bits: alone, among any companions, at any position
         system, target, n = named_problem(transmon_pair, problem)
         rng = np.random.default_rng(14)
@@ -236,29 +253,39 @@ class TestBatchEngine:
         per_child = (products_of(2) - products_of(1)) / 60
         assert per_child <= -(-78 // engine.b) + 2 * engine.b
 
-    def test_cache_skips_repeat_evaluations(self, single_qubit_cycles):
-        engine = _FitnessEngine(single_qubit_cycles, lookup_target("X"), 30, GaConfig())
-        rng = np.random.default_rng(13)
-        bits = rng.integers(0, 2, size=(5, 2, 30), dtype=np.uint8)
-        first = engine.fitness(bits)
-        count = engine.n_evaluations
-        second = engine.fitness(bits)
-        assert engine.n_evaluations == count
-        np.testing.assert_array_equal(first, second)
+    def test_f2_stops_once_converged(self, transmon_pair, monkeypatch):
+        # one exp per Newton step and one after the last: a converged
+        # search_z batch stops after at most 4 steps, not 8, while a block
+        # whose g has a flat top (g'' = 0 at its maximum, so Newton only
+        # creeps toward it) still takes all 8
+        system, target, n = named_problem(transmon_pair, "search_z")
+        exps, steps = [], []
 
-    def test_cache_keys_are_packed_bits(self, single_qubit_cycles):
-        # 2 channels x 30 cycles = 60 bits -> 8 bytes per key, not 60
-        engine = _FitnessEngine(single_qubit_cycles, lookup_target("X"), 30, GaConfig())
-        rng = np.random.default_rng(14)
-        bits = rng.integers(0, 2, size=(4, 2, 30), dtype=np.uint8)
-        repeated = np.concatenate([bits, bits[::-1]])
-        scores = engine.fitness(repeated)
-        assert {len(key) for key in engine.cache} == {8}
-        assert len(engine.cache) == 4
-        np.testing.assert_array_equal(scores[:4], scores[4:][::-1])
-        count = engine.n_evaluations
-        engine.fitness(bits[:1])
-        assert engine.n_evaluations == count
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, x):
+                exps.append(1)
+                return np.exp(x)
+
+        def counted(a, t):
+            exps.clear()
+            out = metrics._f2_batch(a, t)
+            steps.append(len(exps) - 1)
+            return out
+
+        monkeypatch.setattr(metrics, "np", CountingNumpy())
+        monkeypatch.setattr(search, "_f2_batch", counted)
+        run_ga(system, target, n, GaConfig(max_iterations=10, target_fidelity=1.0, seed=7))
+        assert len(steps) == 11 and max(steps) <= 4
+        # |1 + y| + b |1 - r y| has g'' = 0 at theta = 0 for b = (1 - r) / 2r;
+        # the phase moves its top a third of a grid spacing off the grid
+        r, phase = 0.5, np.exp(-1j * np.pi / 96)
+        flat = np.diag([1.0, phase, (1 - r) / (2 * r), -(1 - r) / 2 * phase])
+        steps.clear()
+        counted(flat[None], np.eye(4))
+        assert steps == [8]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_batch_score_raises(self, single_qubit_cycles, monkeypatch, bad):
@@ -269,7 +296,7 @@ class TestBatchEngine:
         bits = np.zeros((2, 2, 30), dtype=np.uint8)
         with pytest.raises(ValueError, match="not finite"):
             engine.fitness(bits)
-        assert engine.cache == {}
+        assert engine.n_evaluations == 0
 
 
 class TestDraws:
@@ -351,6 +378,14 @@ class TestRunGa:
             assert result.history[-1] == result.best.fitness
             assert (result.terminated_by == "target_reached") == reached
             assert (result.best.fitness >= cfg.target_fidelity) == reached
+
+    def test_every_candidate_is_scored_once(self, transmon_pair):
+        # no score is looked up: on the regression problem, where children
+        # often repeat a scored candidate (3 in 4 over 400 generations),
+        # every one counts
+        system, target, n = named_problem(transmon_pair, "regression")
+        result = run_ga(system, target, n, GaConfig(max_iterations=30, seed=7))
+        assert result.n_evaluations == 70 + 60 * result.iterations_used
 
     def test_identity_target_converges(self, single_qubit_system):
         # f1 keeps accumulated phases visible, so this is a real search
@@ -651,7 +686,6 @@ def test_block_reuse_scores_are_the_fresh_scores(problem, n, metric, data):
                 max_size=6)):
             children[c, ch, t] ^= 1
         children[0] = population[heads[0]]  # a child equal to its parent
-        engine.cache.clear()
         scores = engine.offspring(children, heads, tails)
         fresh = engine._fitness_batch(children)
         assert scores.tolist() == fresh.tolist()

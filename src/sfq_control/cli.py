@@ -3,7 +3,8 @@
 Subcommands: learn, evaluate, sweep, spectrum, oracle.  Exit codes:
 0 success (learn: target reached), 2 invalid config or inputs (nothing is
 written), 3 search or integration did not converge (learn still writes its
-report and bitstream).
+report and bitstream), or a search was interrupted or lost a scoring worker
+(learn keeps its last periodic checkpoint, sweep its finished points).
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ from .propagate import (
     write_bitstreams,
 )
 from .reports import evaluate_gate, report_systems, write_report
-from .search import load_checkpoint, run_ga
+from .search import WorkerError, load_checkpoint, run_ga
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_UNFINISHED = 3  # no convergence, or an interrupted sweep
+EXIT_UNFINISHED = 3  # no convergence, or a stopped search
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -157,21 +158,26 @@ def cmd_learn(args) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out / "checkpoint.txt" if args.checkpoint_every > 0 else None
-    result = run_ga(
-        system,
-        target,
-        cfg.num_cycles,
-        cfg.ga,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=args.checkpoint_every,
-        resume_from=args.resume,
-    )
-    schedule = result.best.schedule()
-    report = evaluate_gate(cfg, command="learn", search=result)
-    report_path = out / "report.txt"
-    bits_path = out / "bitstream.txt"
-    write_report(report_path, report)
-    write_bitstreams(bits_path, schedule, cfg.channel_keys(), cfg.clock_ps)
+    try:
+        result = run_ga(
+            system,
+            target,
+            cfg.num_cycles,
+            cfg.ga,
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=args.checkpoint_every,
+            resume_from=args.resume,
+        )
+        schedule = result.best.schedule()
+        report = evaluate_gate(cfg, command="learn", search=result)
+        report_path = out / "report.txt"
+        bits_path = out / "bitstream.txt"
+        write_report(report_path, report)
+        write_bitstreams(bits_path, schedule, cfg.channel_keys(), cfg.clock_ps)
+    except (KeyboardInterrupt, WorkerError) as exc:
+        kept = _kept_checkpoint(checkpoint_path, args.checkpoint_every, system, target, cfg)
+        print(f"error: learn {_stopped(exc)}; {kept}", file=sys.stderr)
+        return EXIT_UNFINISHED
 
     print(f"target {cfg.target_name}: {result.terminated_by} after "
           f"{result.iterations_used} iterations ({result.wall_time_s:.1f} s)")
@@ -186,6 +192,23 @@ def cmd_learn(args) -> int:
               "target fidelity", file=sys.stderr)
         return EXIT_UNFINISHED
     return EXIT_OK
+
+
+def _stopped(exc: BaseException) -> str:
+    """How a search stopped early: Ctrl-C, or a scoring worker's death."""
+    return "interrupted" if isinstance(exc, KeyboardInterrupt) else f"stopped: {exc}"
+
+
+def _kept_checkpoint(path, every: int, system, target, cfg: ExperimentConfig) -> str:
+    """What a stopped learn keeps: the checkpoint at path, if it resumes
+    this run, and its iteration."""
+    if path is None:
+        return "no checkpoint was kept (--checkpoint-every is 0)"
+    try:
+        state = load_checkpoint(path, system, target, cfg.num_cycles, cfg.ga)
+    except (OSError, ValueError):
+        return f"no checkpoint was kept yet (--checkpoint-every is {every})"
+    return f"{path} keeps iteration {state['iteration']}; resume with --resume {path}"
 
 
 def cmd_evaluate(args) -> int:
@@ -285,8 +308,8 @@ def cmd_sweep(args) -> int:
             with atomic_open(csv_path) as fh:  # every finished point survives a stop
                 csv.writer(fh).writerows(rows)
             kept = len(rows) - 1
-    except KeyboardInterrupt:
-        print(f"error: sweep interrupted; {csv_path} keeps {kept} of "
+    except (KeyboardInterrupt, WorkerError) as exc:
+        print(f"error: sweep {_stopped(exc)}; {csv_path} keeps {kept} of "
               f"{len(values)} points", file=sys.stderr)
         return EXIT_UNFINISHED
     print(f"sweep written to {csv_path}")

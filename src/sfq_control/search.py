@@ -7,14 +7,20 @@ A generation draws one key per individual for the parents, one cut per pair
 and a flip count with its positions, not a number per bit.  One Generator
 seeded once drives every random draw, so a seed fixes the whole run bit for
 bit; checkpoints capture the generator state and population and resume
-exactly.
+exactly.  A search on a complex-arithmetic engine scores each batch on
+every CPU it may use (``_workers``); a score is a function of its row's
+bits alone, so the number of processes changes no result.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import signal
 import time
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, fields, replace
@@ -49,6 +55,7 @@ __all__ = [
     "evaluate_fitness",
     "crossover",
     "CheckpointError",
+    "WorkerError",
     "write_checkpoint",
     "read_checkpoint",
     "load_checkpoint",
@@ -171,6 +178,24 @@ def crossover(
 # only the state count, so a seed gives the same run on every machine.
 _REAL_STATES = 16
 
+# The fewest rows of a selection each scoring process takes, so a search
+# with a small selection (2 rows: the bench's set-up probe and gate) keeps
+# it in one process.  A 25-state row of the 40 ns CZ costs about 3 ms, and
+# a slice's round trip through a pipe 0.15 ms at 4 rows, 1.1 ms at 30.
+_MIN_ROWS = 4
+
+
+class WorkerError(RuntimeError):
+    """A scoring worker process died during a search."""
+
+
+def _cpus() -> int:
+    """J, the processes a batch may use: the CPUs this process may run on,
+    or 1 where that cannot be asked or a process cannot fork."""
+    if hasattr(os, "sched_getaffinity") and "fork" in multiprocessing.get_all_start_methods():
+        return len(os.sched_getaffinity(0))
+    return 1
+
 
 def _block_size(words: int, slots: int, slot_bytes: int) -> int:
     """Words per block of the engine's block pool: ceil(sqrt(words)), so the
@@ -242,6 +267,17 @@ class _FitnessEngine:
             self.pool = np.empty((slots * self.nb, 2 * d, 2 * d))
             self.member_words = np.zeros((slots, self.nb, self.b), dtype=np.int64)
         self.n_evaluations = 0
+        self.workers: list = []  # (process, pipe) of each scoring worker
+
+    def jobs(self) -> int:
+        """Processes that score this engine's search batches: J
+        (``_cpus``) for a complex-arithmetic engine (more than
+        ``_REAL_STATES`` states, so b = 1 and no block pool), but no more
+        than give each ``_MIN_ROWS`` rows of a selection; 1 for a real one,
+        which scores children from its block pool, kept in this process."""
+        if len(self.rows) <= _REAL_STATES:
+            return 1
+        return max(1, min(_cpus(), self.config.selection_size // _MIN_ROWS))
 
     def _words(self, bits: np.ndarray) -> np.ndarray:
         """The block words of bits, (B, nb, b), the pad word ending the
@@ -293,8 +329,14 @@ class _FitnessEngine:
         return _block_breakdown(m[self.comp], self.target, norm_loss=_lost(m))
 
     def fitness(self, bits: np.ndarray) -> np.ndarray:
-        """Batch fitness of bits, every row scored."""
-        return self._checked(self._fitness_batch(bits))
+        """Batch fitness of bits, every row scored: in contiguous slices,
+        one per worker and the first one here, when workers are running."""
+        parts = np.array_split(bits, len(self.workers) + 1)
+        for (proc, pipe), part in zip(self.workers, parts[1:]):
+            _talk(proc, pipe.send, part)
+        scores = [self._fitness_batch(parts[0])]
+        scores += [_talk(proc, pipe.recv) for proc, pipe in self.workers]
+        return self._checked(np.concatenate(scores))
 
     def keep(self, population: np.ndarray) -> None:
         """Build the pool of the population's block ops from its bits."""
@@ -334,6 +376,66 @@ class _FitnessEngine:
             dest = slots[:, None] * nb + np.arange(nb)
             self.pool[dest] = self.pool[self.src[kids]]
             self.member_words[slots] = self.member_words[p + kids]
+
+
+def _talk(proc, call, *args):
+    """call (a pipe's send or recv) to worker proc; WorkerError once its
+    pipe is closed, which the kernel does as soon as the worker dies."""
+    try:
+        return call(*args)
+    except (EOFError, OSError) as exc:
+        proc.join(1.0)
+        raise WorkerError(
+            f"scoring worker {proc.pid} died (exit code {proc.exitcode})"
+        ) from exc
+
+
+def _serve(engine: _FitnessEngine, pipe, mains) -> None:
+    """A worker: score each slice of bits that arrives on pipe and send
+    its scores back, until the main process closes the pipe.  mains are the
+    main process's ends of the pipes so far, this one's included.  Ctrl-C
+    is the main process's to handle; it stops the workers itself."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in mains:  # held here, a main end would not close when the
+        end.close()    # main process closes it
+    try:
+        while True:
+            pipe.send(engine._fitness_batch(pipe.recv()))
+    except (EOFError, OSError):  # the main process closed the pipe
+        pass
+
+
+@contextlib.contextmanager
+def _workers(engine: _FitnessEngine):
+    """Fork ``engine.jobs() - 1`` scoring workers for the with block and
+    hand them to ``engine.fitness``.  Forked, not spawned: they share the
+    engine's word tables copy-on-write rather than precompute their own,
+    and keep this process's BLAS thread setting.  However the block ends
+    (return, exception, Ctrl-C), every worker has exited and been joined
+    when it is left: an idle one exits as its pipe closes, one that may be
+    busy on a batch no one will read is terminated."""
+    workers = []
+    try:
+        for _ in range(engine.jobs() - 1):
+            mine, theirs = multiprocessing.Pipe()
+            mains = [mine, *(pipe for _, pipe in workers)]
+            proc = multiprocessing.get_context("fork").Process(
+                target=_serve, args=(engine, theirs, mains), daemon=True)
+            proc.start()
+            theirs.close()
+            workers.append((proc, mine))
+        engine.workers = workers
+        yield
+    except BaseException:
+        for proc, _ in workers:
+            proc.terminate()
+        raise
+    finally:
+        engine.workers = []
+        for _, pipe in workers:
+            pipe.close()
+        for proc, _ in workers:
+            proc.join()
 
 
 # -- checkpointing -------------------------------------------------------------
@@ -490,7 +592,10 @@ def run_ga(
     """Search for a schedule realizing the target gate.
 
     Deterministic for a fixed config seed; pass resume_from to continue a
-    checkpointed run bit for bit.
+    checkpointed run bit for bit.  A complex-arithmetic search scores each
+    batch on ``jobs()`` processes (``_workers``), every one of them gone
+    once it returns or raises; WorkerError if one dies.  Their number
+    changes no result, so a resume may use another.
     """
     if num_cycles < 1:
         raise ValueError("num_cycles must be positive")
@@ -506,18 +611,6 @@ def run_ga(
     nch = len(system.channels)
     p, s = config.population_size, config.selection_size
     rng = np.random.default_rng(config.seed)
-    start_iter = 0
-
-    if resume_from is not None:
-        state = load_checkpoint(resume_from, system, target, num_cycles, config)
-        population, fitness = state["population"], state["fitness"]
-        rng.bit_generator.state = state["rng_state"]
-        start_iter = state["iteration"]
-    else:
-        population = rng.integers(0, 2, size=(p, nch, num_cycles), dtype=np.uint8)
-        fitness = engine.fitness(population)
-    engine.keep(population)
-
     history: list[float] = []
     rank_weights = np.arange(p, 0, -1, dtype=float)  # best gets p, worst gets 1
 
@@ -532,37 +625,48 @@ def run_ga(
             config=config,
         )
 
-    iteration = start_iter
     periodic = checkpoint_path is not None and checkpoint_every > 0
-    while fitness.max() < config.target_fidelity and iteration < config.max_iterations:
-        iteration += 1
-        order_desc = np.argsort(-fitness, kind="stable")
-        weights = np.empty(p)
-        weights[order_desc] = rank_weights
-        parents = _select(rng, weights, s)
+    with _workers(engine):
+        iteration = 0
+        if resume_from is not None:
+            state = load_checkpoint(resume_from, system, target, num_cycles, config)
+            population, fitness = state["population"], state["fitness"]
+            rng.bit_generator.state = state["rng_state"]
+            iteration = state["iteration"]
+        else:
+            population = rng.integers(0, 2, size=(p, nch, num_cycles), dtype=np.uint8)
+            fitness = engine.fitness(population)
+        engine.keep(population)
 
-        cuts = rng.integers(0, num_cycles + 1, size=s // 2)
-        pairs = crossover(population[parents[0::2]], population[parents[1::2]], cuts)
-        children = np.stack(pairs, axis=1).reshape(s, nch, num_cycles)
-        _mutate(rng, children, config.mutation_probability)
+        while fitness.max() < config.target_fidelity and iteration < config.max_iterations:
+            iteration += 1
+            order_desc = np.argsort(-fitness, kind="stable")
+            weights = np.empty(p)
+            weights[order_desc] = rank_weights
+            parents = _select(rng, weights, s)
 
-        # child 2i is parent 2i's head on parent 2i+1's tail, child 2i+1 the
-        # other way round
-        tails = parents.reshape(-1, 2)[:, ::-1].reshape(-1)
-        child_fit = engine.offspring(children, parents, tails)
-        kid_order = np.argsort(-child_fit, kind="stable")
-        worst_order = np.argsort(fitness, kind="stable")[:s]
-        # Children best first against slots worst first: "beats its slot"
-        # holds for a prefix, so counting finds its length.
-        w = int((child_fit[kid_order] > fitness[worst_order]).sum())
-        engine.adopt(kid_order[:w], worst_order[:w])
-        population[worst_order[:w]] = children[kid_order[:w]]
-        fitness[worst_order[:w]] = child_fit[kid_order[:w]]
+            cuts = rng.integers(0, num_cycles + 1, size=s // 2)
+            pairs = crossover(population[parents[0::2]], population[parents[1::2]], cuts)
+            children = np.stack(pairs, axis=1).reshape(s, nch, num_cycles)
+            _mutate(rng, children, config.mutation_probability)
 
-        history.append(float(fitness.max()))
+            # child 2i is parent 2i's head on parent 2i+1's tail, child 2i+1
+            # the other way round
+            tails = parents.reshape(-1, 2)[:, ::-1].reshape(-1)
+            child_fit = engine.offspring(children, parents, tails)
+            kid_order = np.argsort(-child_fit, kind="stable")
+            worst_order = np.argsort(fitness, kind="stable")[:s]
+            # Children best first against slots worst first: "beats its
+            # slot" holds for a prefix, so counting finds its length.
+            w = int((child_fit[kid_order] > fitness[worst_order]).sum())
+            engine.adopt(kid_order[:w], worst_order[:w])
+            population[worst_order[:w]] = children[kid_order[:w]]
+            fitness[worst_order[:w]] = child_fit[kid_order[:w]]
 
-        if periodic and iteration % checkpoint_every == 0:
-            save()
+            history.append(float(fitness.max()))
+
+            if periodic and iteration % checkpoint_every == 0:
+                save()
 
     best_idx = int(np.argmax(fitness))
     reached = fitness[best_idx] >= config.target_fidelity

@@ -1,10 +1,16 @@
 """Shared fixtures and the acceptance-line reporter."""
 
+import contextlib
+import multiprocessing
+import os
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 import sfq_control as sc
+from sfq_control import search
 
 GHZ = 2.0 * np.pi * 1e9
 
@@ -17,6 +23,72 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in ACCEPTANCE_RESULTS:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test after which a child process is still running: a search
+    joins its scoring workers however it ends.  The leftovers are killed, so
+    the next test starts clean."""
+    yield
+    left = multiprocessing.active_children()
+    for proc in left:
+        proc.kill()
+        proc.join(10.0)
+    assert not left, f"child processes left running: {left}"
+
+
+def spy_generations(monkeypatch, act):
+    """Call act(n) at the start of the n-th generation, counted over every
+    search from here on, before its children are scored (by way of
+    ``search.crossover``)."""
+    real, calls = search.crossover, []
+
+    def spy(*args):
+        calls.append(1)
+        act(len(calls))
+        return real(*args)
+
+    monkeypatch.setattr(search, "crossover", spy)
+
+
+def children_each_generation(monkeypatch):
+    """A list that gets the number of child processes running at the start
+    of each generation from here on."""
+    alive = []
+    spy_generations(monkeypatch, lambda n: alive.append(len(multiprocessing.active_children())))
+    return alive
+
+
+class Overtime(Exception):
+    """Raised by ``deadline``.  Not a TimeoutError: that is an OSError,
+    which multiprocessing swallows when it interrupts a wait for a child."""
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Overtime in this process if the with block runs past seconds, so a
+    hang fails a test instead of stalling the run."""
+    def expire(signum, frame):
+        raise Overtime(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def kill_workers_at(monkeypatch, n):
+    """SIGKILL every child process at the start of the n-th generation."""
+    def act(i):
+        if i == n:
+            for proc in multiprocessing.active_children():
+                os.kill(proc.pid, signal.SIGKILL)
+
+    spy_generations(monkeypatch, act)
 
 
 @pytest.fixture(scope="session")

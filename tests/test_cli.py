@@ -1,6 +1,8 @@
 """End-to-end command-line runs against temporary configs and outputs."""
 
+import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sfq_control import cli
+from conftest import children_each_generation, deadline, kill_workers_at, spy_generations
+from sfq_control import cli, search
 from sfq_control.config import build_system, parse_config
 from sfq_control.propagate import _MAX_CYCLES, PulseSchedule, write_bitstreams
 from sfq_control.reports import read_report
@@ -69,11 +72,61 @@ n_levels = 3
 """
 
 
+# The 40 ns x-channel CZ: 25 learning states, so its search forks scoring
+# workers.
+CZ_40NS = """
+[qubit0]
+type = transmon
+omega01_ghz = 3.9
+alpha_ghz = -0.225
+
+[qubit1]
+type = transmon
+omega01_ghz = 3.5
+alpha_ghz = -0.225
+
+[coupling]
+j_ghz = 0.05
+
+[channels]
+x0 = 0.003
+x1 = 0.003
+
+[gate]
+target = CZ
+time_ns = 40
+
+[learning]
+n_levels = 5
+n_sim_levels = 7
+"""
+
+REGRESSION = Path(__file__).parent / "data" / "regression.ini"
+
+
 @pytest.fixture
 def fast_config(tmp_path):
     path = tmp_path / "fast.ini"
     path.write_text(FAST_LEARN)
     return path
+
+
+@pytest.fixture
+def cz_config(tmp_path, monkeypatch):
+    """The 40 ns CZ config, its searches on two processes on any host."""
+    monkeypatch.setattr(search, "_cpus", lambda: 2)
+    path = tmp_path / "cz.ini"
+    path.write_text(CZ_40NS)
+    return path
+
+
+def interrupt_at(monkeypatch, n):
+    """Ctrl-C at the start of the n-th generation."""
+    def act(i):
+        if i == n:
+            raise KeyboardInterrupt
+
+    spy_generations(monkeypatch, act)
 
 
 def write_variant(tmp_path, old, new, name="variant.ini"):
@@ -221,6 +274,68 @@ class TestLearn:
              str(tmp_path / "resumed"), "--resume", str(ck)]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("at, every, kept", [
+        (5, 2, "{ck} keeps iteration 4; resume with --resume {ck}"),
+        (1, 2, "no checkpoint was kept yet (--checkpoint-every is 2)"),
+        (3, 0, "no checkpoint was kept (--checkpoint-every is 0)")])
+    def test_interrupt_keeps_the_last_checkpoint(
+        self, tmp_path, monkeypatch, capsys, at, every, kept
+    ):
+        # Ctrl-C at iteration `at` of the regression problem: one error line
+        # and exit 3, no report, and a kept checkpoint resumes to the
+        # uninterrupted run
+        argv = ["learn", "--config", str(REGRESSION), "--max-iters", "8",
+                "--checkpoint-every", str(every)]
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "whole")]) == 3
+        capsys.readouterr()
+        cut = tmp_path / "cut"
+        with monkeypatch.context() as patch:
+            interrupt_at(patch, at)
+            assert cli.main(argv + ["--out-dir", str(cut)]) == 3
+        ck = cut / "checkpoint.txt"
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: learn interrupted; {kept.format(ck=ck)}"]
+        assert not (cut / "report.txt").exists()
+        if ck.exists():
+            resumed = tmp_path / "resumed"
+            assert cli.main(["learn", "--config", str(REGRESSION), "--max-iters", "8",
+                             "--out-dir", str(resumed), "--resume", str(ck)]) == 3
+            assert (resumed / "bitstream.txt").read_bytes() == (
+                tmp_path / "whole" / "bitstream.txt").read_bytes()
+
+    def test_interrupt_stops_the_scoring_workers(
+        self, cz_config, tmp_path, monkeypatch, capsys
+    ):
+        interrupt_at(monkeypatch, 2)
+        alive = children_each_generation(monkeypatch)  # counts, then interrupts
+        out = tmp_path / "run"
+        with deadline(60.0):
+            rc = cli.main(["learn", "--config", str(cz_config), "--out-dir", str(out),
+                           "--max-iters", "3"])
+        assert rc == 3
+        assert alive == [1, 1] and multiprocessing.active_children() == []
+        assert capsys.readouterr().err.splitlines() == [
+            "error: learn interrupted; no checkpoint was kept (--checkpoint-every is 0)"]
+        assert not (out / "report.txt").exists()
+
+    def test_dead_worker_exits_3_keeping_the_checkpoint(
+        self, cz_config, tmp_path, monkeypatch, capsys
+    ):
+        kill_workers_at(monkeypatch, 3)
+        out = tmp_path / "run"
+        with deadline(60.0):
+            rc = cli.main(["learn", "--config", str(cz_config), "--out-dir", str(out),
+                           "--max-iters", "4", "--checkpoint-every", "1"])
+        assert rc == 3
+        ck = out / "checkpoint.txt"
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and re.fullmatch(
+            rf"error: learn stopped: scoring worker \d+ died \(exit code -9\); "
+            rf"{re.escape(str(ck))} keeps iteration 2; resume with --resume "
+            rf"{re.escape(str(ck))}", err[0]), err
+        assert search.read_checkpoint(ck)["iteration"] == 2
+        assert not (out / "report.txt").exists()
 
     @pytest.mark.parametrize(
         "case",
@@ -418,6 +533,23 @@ class TestSweep:
         assert len(lines) == 2
         assert lines[1].split(",")[0] == "0.02"
         assert lines[1].split(",")[4] == "10"
+
+    def test_dead_worker_stops_the_sweep(self, cz_config, tmp_path, monkeypatch, capsys):
+        # a worker killed in the second point's search: one error line, exit
+        # 3, and the first point kept
+        kill_workers_at(monkeypatch, 4)
+        out = tmp_path / "sweep"
+        with deadline(60.0):
+            rc = cli.main(["sweep", "--config", str(cz_config), "--out-dir", str(out),
+                           "--param", "tip_angle", "--values", "0.003,0.004",
+                           "--max-iters", "2"])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and re.fullmatch(
+            r"error: sweep stopped: scoring worker \d+ died \(exit code -9\); "
+            rf"{re.escape(str(out / 'sweep.csv'))} keeps 1 of 2 points", err[0]), err
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("0.003,")
 
     def test_programming_error_is_not_a_failed_point(
         self, fast_config, tmp_path, monkeypatch

@@ -1,6 +1,8 @@
 """Genetic search: determinism, convergence, checkpointing, batch scoring."""
 
 import io
+import multiprocessing
+import os
 import time
 from configparser import ConfigParser
 from dataclasses import replace
@@ -14,13 +16,17 @@ from hypothesis import strategies as st
 import sfq_control as sc
 from scipy.stats import chi2
 
-from conftest import GHZ, make_pair_system, random_problems, stepwise_scores
+from conftest import (
+    GHZ, children_each_generation, deadline, kill_workers_at, make_pair_system,
+    random_problems, stepwise_scores,
+)
 from sfq_control import metrics, propagate, search
 from sfq_control.config import build_system, parse_config
 from sfq_control.propagate import PulseSchedule, precompute
 from sfq_control.search import (
     CheckpointError,
     GaConfig,
+    WorkerError,
     _FitnessEngine,
     crossover,
     evaluate_fitness,
@@ -386,6 +392,88 @@ class TestRunGa:
         system, target, n = named_problem(transmon_pair, "regression")
         result = run_ga(system, target, n, GaConfig(max_iterations=30, seed=7))
         assert result.n_evaluations == 70 + 60 * result.iterations_used
+
+    def test_any_number_of_processes_gives_the_same_run(
+        self, transmon_pair, monkeypatch, tmp_path
+    ):
+        # a score is a function of its row's bits alone, so a batch split
+        # across J processes scores as in one, and a checkpoint written at
+        # J = 1 resumes at J = 2 to the uninterrupted run
+        system, target, n = named_problem(transmon_pair, "cli")
+        cfg = GaConfig(max_iterations=3, target_fidelity=1.0, seed=21)
+        alive = children_each_generation(monkeypatch)
+        runs = {}
+        for j in (1, 2, 3):
+            monkeypatch.setattr(search, "_cpus", lambda j=j: j)
+            with deadline(60.0):
+                runs[j] = run_ga(system, target, n, cfg)
+        assert alive == [0] * 3 + [1] * 3 + [2] * 3
+        serial = runs[1]
+        for result in runs.values():
+            np.testing.assert_array_equal(result.history, serial.history)
+            np.testing.assert_array_equal(result.best.bits, serial.best.bits)
+            assert result.best.fitness == serial.best.fitness
+            assert result.n_evaluations == serial.n_evaluations == 70 + 3 * 60
+
+        path = tmp_path / "checkpoint.txt"
+        monkeypatch.setattr(search, "_cpus", lambda: 1)
+        run_ga(system, target, n, replace(cfg, max_iterations=1), checkpoint_path=path)
+        monkeypatch.setattr(search, "_cpus", lambda: 2)
+        with deadline(60.0):
+            resumed = run_ga(system, target, n, cfg, resume_from=path)
+        np.testing.assert_array_equal(resumed.history, serial.history[1:])
+        np.testing.assert_array_equal(resumed.best.bits, serial.best.bits)
+        assert resumed.best.fitness == serial.best.fitness
+
+    def test_j_is_the_cpus_this_process_may_run_on(self, monkeypatch):
+        assert search._cpus() == len(os.sched_getaffinity(0))
+        with monkeypatch.context() as patch:
+            patch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+            assert search._cpus() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert search._cpus() == 1
+
+    @pytest.mark.parametrize("problem, sizes, workers", [
+        ("search_z", {}, 0), ("regression", {}, 0), ("criterion5", {}, 0),
+        ("cli", {}, 3),
+        # the bench's set-up probe and gate: too few rows to share
+        ("cli", {"population_size": 2, "selection_size": 2}, 0),
+        ("cli", {"population_size": 4, "selection_size": 2}, 0)])
+    def test_only_complex_engines_start_workers(
+        self, transmon_pair, monkeypatch, problem, sizes, workers
+    ):
+        # real-arithmetic engines score children from their block pool,
+        # kept in the main process; the 25-state engine forks J - 1 workers
+        system, target, n = named_problem(transmon_pair, problem)
+        monkeypatch.setattr(search, "_cpus", lambda: 4)
+        alive = children_each_generation(monkeypatch)
+        cfg = GaConfig(max_iterations=1, target_fidelity=1.0, seed=7, **sizes)
+        with deadline(60.0):
+            run_ga(system, target, n, cfg)
+        assert alive == [workers]
+
+    def test_a_dead_worker_is_an_error_not_a_hang(self, transmon_pair, monkeypatch):
+        system, target, n = named_problem(transmon_pair, "cli")
+        monkeypatch.setattr(search, "_cpus", lambda: 2)
+        kill_workers_at(monkeypatch, 2)
+        with deadline(60.0), pytest.raises(WorkerError, match=r"died \(exit code -9\)"):
+            run_ga(system, target, n, GaConfig(max_iterations=3, target_fidelity=1.0))
+
+    def test_interrupt_stops_a_busy_worker_at_once(self, transmon_pair, monkeypatch):
+        # Ctrl-C while the worker is still on its slice: run_ga terminates
+        # it rather than wait for a score no one will read
+        system, target, n = named_problem(transmon_pair, "cli")
+        monkeypatch.setattr(search, "_cpus", lambda: 2)
+        main = os.getpid()
+
+        def interrupted_or_slow(self, bits):
+            if os.getpid() == main:
+                raise KeyboardInterrupt
+            time.sleep(600.0)
+
+        monkeypatch.setattr(_FitnessEngine, "_fitness_batch", interrupted_or_slow)
+        with deadline(30.0), pytest.raises(KeyboardInterrupt):
+            run_ga(system, target, n, GaConfig(max_iterations=1))
 
     def test_identity_target_converges(self, single_qubit_system):
         # f1 keeps accumulated phases visible, so this is a real search

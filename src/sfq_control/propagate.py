@@ -16,7 +16,8 @@ commutator-free fourth-order Magnus scheme and verifies its own convergence
 by substep doubling.  Each distinct pulse window is integrated once: when
 pulses are narrower than a cycle their windows repeat (one product per set
 of channels fired), and wide pulses whose windows overlap merge into one
-long segment integrated substep by substep.
+long segment integrated substep by substep.  A window centred on its cycle
+start is symmetric in time, so it exponentiates only its first half.
 """
 
 from __future__ import annotations
@@ -367,13 +368,17 @@ def reference_integrate(
     scheme over each active segment (overlapping pulse windows merged), and
     each distinct segment is integrated once: pulses narrower than a cycle
     give windows that repeat, so the cost follows the distinct sets of
-    channels fired, not the cycle count.  Wide pulses whose windows overlap
-    fall back to one long segment.  Stretches with no pulse take one static
-    propagator each.  The whole integration is repeated at double resolution
-    and the two results must agree to ``_CONVERGENCE_TOL`` (max-abs), else
-    ConvergenceError.  ValueError, before integrating, if substeps_per_cycle
-    is outside 8 .. 2^60 // (num_cycles + 4) or both runs together take over
-    ``_CF4_MAX_EXPONENTIALS`` exponentials (2 per segment substep).
+    channels fired, not the cycle count.  A window centred on its cycle
+    start (every cycle but cycle 0, unless cut at the end) is symmetric in
+    time, so its second half reuses its first half's exponentials.  Wide
+    pulses whose windows overlap fall back to one long segment.  Stretches
+    with no pulse take one static propagator per distinct length.  The
+    whole integration is repeated at double resolution and the two results
+    must agree to ``_CONVERGENCE_TOL`` (max-abs), else ConvergenceError.
+    ValueError, before integrating, if substeps_per_cycle is outside
+    8 .. 2^60 // (num_cycles + 4) or both runs together take over
+    ``_CF4_MAX_EXPONENTIALS`` exponentials (2 per segment substep, 1 per
+    substep of a mirrored one: ``_mirrored``).
 
     Returns the rest-frame unitary at the final time, like evolve_full.
     """
@@ -386,8 +391,9 @@ def reference_integrate(
                          "(2^60 // (cycles + 4))")
     if not 0 < pulse_width <= 0.25 * system.clock_period:  # NaN fails too
         raise ValueError("pulse_width must be positive and well under a cycle")
-    work = sum(2 * length for n in (substeps_per_cycle, 2 * substeps_per_cycle)
-               for length, _ in set(_cf4_plan(system, schedule, pulse_width, n)[0]))
+    work = sum(key[0] * (1 if _mirrored(key, system.dim_sim) else 2)
+               for n in (substeps_per_cycle, 2 * substeps_per_cycle)
+               for key in set(_cf4_plan(system, schedule, pulse_width, n)[0]))
     if work > _CF4_MAX_EXPONENTIALS:
         raise ValueError(
             f"the reference needs {work:.2e} matrix exponentials (over "
@@ -441,31 +447,47 @@ def _cf4_plan(
 def _cf4_run(
     system: CoupledSystem, schedule: PulseSchedule, pulse_width: float, substeps: int
 ) -> np.ndarray:
-    """Lab-frame CF4 propagator; each distinct segment key is integrated once."""
+    """Lab-frame CF4 propagator: the plan's static stretches and active
+    segments in turn, each distinct stretch length and segment key formed
+    once and held only until its last use."""
     keys, seg_lo, seg_hi, h, n_steps = _cf4_plan(system, schedule, pulse_width, substeps)
-    last_use = {key: k for k, key in enumerate(keys)}
-    w_static, v_static = np.linalg.eigh(system.h_static)
-
-    def free(n: int) -> np.ndarray:
-        return (v_static * np.exp(-1j * w_static * (n * h))) @ v_static.conj().T
-
+    # the run in time order: a stretch of n substeps with no pulse is the
+    # int n, a segment its key
+    pieces, pos = [], 0
+    for key, a, b in zip(keys, seg_lo, seg_hi):
+        pieces += [a - pos, key]
+        pos = b
+    pieces = [p for p in pieces + [n_steps - pos] if p != 0]
+    last_use = {p: k for k, p in enumerate(pieces)}
+    eig = np.linalg.eigh(system.h_static)
     gens = np.stack([kick_generator(system, c) for c in system.channels])
     u = np.eye(system.dim_sim, dtype=complex)
-    products: dict = {}
-    pos = 0
-    for k, (key, a, b) in enumerate(zip(keys, seg_lo, seg_hi)):
-        if a > pos:
-            u = free(a - pos) @ u
-        product = products.pop(key, None)
-        if product is None:
-            product = _cf4_segment(system.h_static, gens, key, h, pulse_width)
-        if last_use[key] > k:
-            products[key] = product
-        u = product @ u
-        pos = b
-    if n_steps > pos:
-        u = free(n_steps - pos) @ u
+    held: dict = {}
+    for k, piece in enumerate(pieces):
+        op = held.pop(piece, None)
+        if op is None:
+            op = (_static_propagator(eig, piece * h) if isinstance(piece, int)
+                  else _cf4_segment(system.h_static, gens, piece, h, pulse_width))
+        if last_use[piece] > k:
+            held[piece] = op
+        u = op @ u
     return u
+
+
+def _static_propagator(eig: tuple, t: float) -> np.ndarray:
+    """exp(-i h_static t) from the eigendecomposition eig = (w, v) of h_static."""
+    w, v = eig
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def _mirrored(key: tuple, dim: int) -> bool:
+    """Whether ``_cf4_segment`` integrates a segment by its first half: the
+    segment is centred (every pulse at shift 0 and offset length / 2, so its
+    Hamiltonian is symmetric in time) and that half's exponentials, held
+    for the second half, fit in ``_TABLE_BYTES`` on dim states."""
+    length, pulses = key
+    return (all(2 * offset == length and shift == 0.0 for _, offset, shift in pulses)
+            and 16 * length * dim * dim <= _TABLE_BYTES)
 
 
 def _cf4_segment(
@@ -475,21 +497,44 @@ def _cf4_segment(
     h: float,
     pulse_width: float,
 ) -> np.ndarray:
-    """CF4 product over one active segment, times local to its start."""
+    """CF4 product over one active segment, times local to its start.
+
+    Substep j applies exp(-i h first_j), then exp(-i h second_j), the two
+    Gauss-Legendre mixes of its Hamiltonian.  The (first, second) pairs are
+    built and exponentiated as stacks (``_expm_herm``), a chunk of at most
+    ``_TABLE_BYTES`` of exponentials at a time, and chained in substep
+    order.  A mirrored segment (``_mirrored``) exponentiates its first half
+    only: substep length - 1 - j takes substep j's pair in swapped order.
+    """
     length, pulses = key
+    dim = len(h_static)
+    mirrored = _mirrored(key, dim)
+    steps = length // 2 if mirrored else length
     channel, offset, shift = (np.array(a) for a in zip(*pulses))
     onehot = np.eye(len(gens))[channel]  # (pulses, channels)
     nodes = np.array([0.5 - _CF4_NODE, 0.5 + _CF4_NODE])[:, None]
     reach = _PULSE_CUTOFF_SIGMAS * pulse_width
     norm = 1.0 / (pulse_width * np.sqrt(2.0 * np.pi))
-    u = np.eye(len(h_static), dtype=complex)
-    for j in range(length):
-        x = ((j - offset) + nodes) * h - shift  # (2 nodes, pulses)
+    chunk = max(1, _TABLE_BYTES // (32 * (dim * dim + len(pulses))))
+    u = np.eye(dim, dtype=complex)
+    held = []
+    for lo in range(0, steps, chunk):
+        j = np.arange(lo, min(lo + chunk, steps))[:, None, None]
+        x = ((j - offset) + nodes) * h - shift  # (substeps, 2 nodes, pulses)
         amp = np.where(np.abs(x) <= reach, np.exp(-0.5 * (x / pulse_width) ** 2), 0.0)
-        h1, h2 = h_static + np.tensordot(norm * amp @ onehot, gens, 1)
-        first = _CF4_W1 * h1 + _CF4_W2 * h2  # earlier-node heavy, applied first
-        second = _CF4_W2 * h1 + _CF4_W1 * h2
-        u = _expm_herm(second, h) @ (_expm_herm(first, h) @ u)
+        h1, h2 = np.swapaxes(h_static + np.tensordot(norm * amp @ onehot, gens, 1), 0, 1)
+        pairs = np.stack([_CF4_W1 * h1 + _CF4_W2 * h2,  # earlier-node heavy, first
+                          _CF4_W2 * h1 + _CF4_W1 * h2], axis=1)
+        exps = _expm_herm(pairs, h)
+        for first, second in exps:
+            u = second @ (first @ u)
+        if mirrored:
+            held.append(exps)
+    # the node times of substeps j and length - 1 - j are mirror images in
+    # floating point too, so the swapped pair is the one the loop would form
+    for exps in reversed(held):
+        for first, second in exps[::-1]:
+            u = first @ (second @ u)
     return u
 
 

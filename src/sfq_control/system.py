@@ -216,9 +216,11 @@ def _row_norm(op: np.ndarray) -> float:
 # -- kicks ------------------------------------------------------------------
 
 def _expm_herm(h: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """exp(-1j * scale * h) for Hermitian h via eigendecomposition."""
+    """exp(-1j * scale * h) for Hermitian h via eigendecomposition: one
+    matrix (d, d), or a stack (..., d, d) in one call, each of whose
+    exponentials equals the one its matrix gets alone, bit for bit."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * scale * w)) @ v.conj().T
+    return (v * np.exp(-1j * scale * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def kick_generator(system: CoupledSystem, channel: ControlChannel) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Delta-kick evolution and the finite-width reference integrator."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -237,8 +239,8 @@ class TestReferenceIntegrator:
         system = sc.assemble([q0], 2, 4, channels=[sc.ControlChannel(0, "x", 0.03)])
         calls = []
 
-        def counting(h, scale=1.0):
-            calls.append(scale)
+        def counting(h, scale=1.0):  # one call may exponentiate a stack
+            calls.extend([scale] * math.prod(h.shape[:-2]))
             return _expm_herm(h, scale)
 
         monkeypatch.setattr(propagate, "_expm_herm", counting)
@@ -257,8 +259,8 @@ class TestReferenceIntegrator:
         sch = sc.PulseSchedule.random(np.random.default_rng(9), 1, 12)
         calls = []
 
-        def counting(h, scale=1.0):
-            calls.append(scale)
+        def counting(h, scale=1.0):  # one call may exponentiate a stack
+            calls.extend([scale] * math.prod(h.shape[:-2]))
             return _expm_herm(h, scale)
 
         monkeypatch.setattr(propagate, "_expm_herm", counting)
@@ -287,6 +289,76 @@ class TestReferenceIntegrator:
         np.testing.assert_allclose(
             _expm_herm(h, 0.7), scipy.linalg.expm(-0.7j * h), atol=1e-12
         )
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_expm_herm_on_a_stack_is_each_matrix_alone(self, kind):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(3, 2, 7, 7))
+        if kind == "complex":
+            a = a + 1j * rng.normal(size=a.shape)
+        h = a + a.conj().swapaxes(-1, -2)
+        stack = _expm_herm(h, 0.7)
+        assert stack.shape == h.shape
+        for i in np.ndindex(h.shape[:-2]):
+            assert np.array_equal(stack[i], _expm_herm(h[i], 0.7))
+            np.testing.assert_allclose(
+                stack[i], scipy.linalg.expm(-0.7j * h[i]), rtol=0, atol=1e-12
+            )
+
+    def test_centred_windows_take_one_exponential_per_substep(
+        self, transmon_pair, monkeypatch
+    ):
+        # a window centred on its cycle start is symmetric in time and takes
+        # length exponentials per run; the shifted cycle-0 window and a
+        # window cut at the end take two per substep
+        q0, _ = transmon_pair
+        system = sc.assemble([q0], 2, 4, channels=[sc.ControlChannel(0, "x", 0.03)])
+        calls = []
+
+        def counting(h, scale=1.0):
+            calls.extend([scale] * math.prod(h.shape[:-2]))
+            return _expm_herm(h, scale)
+
+        monkeypatch.setattr(propagate, "_expm_herm", counting)
+
+        def taken(cycles, width):
+            bits = np.zeros((1, 6), np.uint8)
+            bits[0, cycles] = 1
+            schedule = sc.PulseSchedule(bits)
+            keys = set(propagate._cf4_plan(system, schedule, width, 16)[0])
+            calls.clear()
+            _cf4_run(system, schedule, width, 16)
+            return len(calls), sorted(length for length, _ in keys)
+
+        # 0.25 ps pulses at 16 substeps of 0.5 ps: windows of 2 * 4 substeps
+        assert taken([1, 3, 4], 0.25e-12) == (8, [8])
+        # the cycle-0 window spans substeps 0 .. 7, shifted five widths in
+        assert taken([0], 0.25e-12) == (14, [7])
+        assert taken([0, 2, 3], 0.25e-12) == (14 + 8, [7, 8])
+        # 1.5 ps pulses reach 24 substeps: cycle 5's window is cut at 96
+        assert taken([5], 1.5e-12) == (80, [40])
+        assert taken([2, 5], 1.5e-12) == (48 + 80, [40, 48])
+
+    def test_a_window_too_long_to_hold_its_half_is_not_mirrored(
+        self, transmon_pair, monkeypatch
+    ):
+        # with too few table bytes to hold half a window's exponentials it
+        # takes all of them, three substeps a chunk, to the same product
+        q0, _ = transmon_pair
+        system = sc.assemble([q0], 2, 4, channels=[sc.ControlChannel(0, "x", 0.03)])
+        schedule = sc.PulseSchedule(np.array([[0, 1, 0, 1]], np.uint8))
+        whole = _cf4_run(system, schedule, 0.25e-12, 16)
+        calls = []
+
+        def counting(h, scale=1.0):
+            calls.append(math.prod(h.shape[:-2]))
+            return _expm_herm(h, scale)
+
+        monkeypatch.setattr(propagate, "_expm_herm", counting)
+        # 16 states and one pulse: 32 * (16 + 1) bytes a substep
+        monkeypatch.setattr(propagate, "_TABLE_BYTES", 3 * 32 * 17)
+        assert np.array_equal(_cf4_run(system, schedule, 0.25e-12, 16), whole)
+        assert calls == [6, 6, 4]  # 8 substeps, two exponentials each
 
 
 def stepwise_cf4(system, schedule, pulse_width, substeps_per_cycle, cutoff):
@@ -335,6 +407,10 @@ _SLOTS = [(0, "x"), (1, "z"), (1, "x")]
 @example(nch=2, masks=[3, 1, 0, 2], substeps=12, width=0.24, cutoff=8.0)  # 5w > T
 @example(nch=2, masks=[1, 2, 3, 1, 2], substeps=24, width=0.2, cutoff=3.0)  # overlap
 @example(nch=1, masks=[0, 0, 1], substeps=16, width=0.2, cutoff=8.0)  # cut at the end
+@example(nch=1, masks=[0, 1, 0], substeps=16, width=0.2, cutoff=3.0)  # centred
+@example(nch=2, masks=[0, 3, 0, 1], substeps=16, width=0.1, cutoff=8.0)  # 2 in a cycle
+@example(nch=2, masks=[0, 0, 0, 1, 0, 0, 3], substeps=12, width=0.15,
+         cutoff=8.0)  # a centred window, then two pulses cut at the end
 def test_cf4_run_is_the_stepwise_loop(
     transmon_pair, nch, masks, substeps, width, cutoff
 ):
@@ -348,6 +424,31 @@ def test_cf4_run_is_the_stepwise_loop(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagate, "_PULSE_CUTOFF_SIGMAS", cutoff)
         got = _cf4_run(system, schedule, pulse_width, substeps)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+def test_each_stretch_length_is_formed_once(transmon_pair, monkeypatch):
+    # pulses every third cycle over 240: the stretches between windows
+    # repeat, and each distinct length is exponentiated once
+    q0, _ = transmon_pair
+    system = sc.assemble([q0], 2, 3, channels=[sc.ControlChannel(0, "x", 0.3)])
+    bits = np.zeros((1, 240), np.uint8)
+    bits[0, 2::3] = 1
+    schedule = sc.PulseSchedule(bits)
+    width, substeps = 0.1 * system.clock_period, 8
+    formed = []
+    static = propagate._static_propagator
+
+    def counting(eig, t):
+        formed.append(t)
+        return static(eig, t)
+
+    monkeypatch.setattr(propagate, "_static_propagator", counting)
+    got = _cf4_run(system, schedule, width, substeps)
+    h = system.clock_period / substeps
+    # windows of 2 * 7 substeps: 9 before the first, 10 between, 1 after
+    assert sorted(formed) == [1 * h, 9 * h, 10 * h]
+    ref = stepwise_cf4(system, schedule, width, substeps, propagate._PULSE_CUTOFF_SIGMAS)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 

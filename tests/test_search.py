@@ -425,6 +425,23 @@ class TestRunGa:
         np.testing.assert_array_equal(resumed.best.bits, serial.best.bits)
         assert resumed.best.fitness == serial.best.fitness
 
+    def test_packed_slices_keep_a_ragged_last_byte(self, transmon_pair, monkeypatch):
+        # a worker's slice travels eight cycles to a byte: on a cycle count
+        # that is not a multiple of 8 it unpacks to the bits it was sent
+        system, target, _ = named_problem(transmon_pair, "cli")
+        n = 1003
+        cfg = GaConfig(max_iterations=3, target_fidelity=1.0, seed=5)
+        alive = children_each_generation(monkeypatch)
+        runs = {}
+        for j in (1, 2):
+            monkeypatch.setattr(search, "_cpus", lambda j=j: j)
+            with deadline(60.0):
+                runs[j] = run_ga(system, target, n, cfg)
+        assert alive == [0] * 3 + [1] * 3
+        np.testing.assert_array_equal(runs[2].history, runs[1].history)
+        np.testing.assert_array_equal(runs[2].best.bits, runs[1].best.bits)
+        assert runs[2].n_evaluations == runs[1].n_evaluations == 70 + 3 * 60
+
     def test_j_is_the_cpus_this_process_may_run_on(self, monkeypatch):
         assert search._cpus() == len(os.sched_getaffinity(0))
         with monkeypatch.context() as patch:

@@ -17,11 +17,15 @@ by substep doubling.  Each distinct pulse window is integrated once: when
 pulses are narrower than a cycle their windows repeat (one product per set
 of channels fired), and wide pulses whose windows overlap merge into one
 long segment integrated substep by substep.  A window centred on its cycle
-start is symmetric in time, so it exponentiates only its first half.
+start is symmetric in time, so it exponentiates only its first half.  The
+substep exponentials are scaled Taylor polynomials of cos and sin in real
+arithmetic (``_expm_sym``); the one eigendecomposition per run is of
+h_static, for the stretches with no pulse.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -352,6 +356,60 @@ _CF4_MAX_EXPONENTIALS = 10**7  # per reference_integrate call, both runs
 # schedules run out of memory instead of running.
 _MAX_CYCLES = 10**6
 
+# exp(-i C), C = s A / 2^j real symmetric, as cos C - i sin C by their Taylor
+# series through C^12.  The first term dropped is C^13 / 13!, so with
+# ||C||_1 <= theta (the 1-norm bounds the 2-norm of a symmetric matrix) it is
+# below 2^-53 once theta^13 / 13! = 2^-53: theta = (13! 2^-53)^(1/13) = 0.336.
+# Each later term is smaller again by a factor ||C|| / 14 or less.
+_EXPM_THETA = (math.factorial(13) * 2.0**-53) ** (1 / 13)
+_COS = [(-1) ** k / math.factorial(2 * k) for k in range(7)]  # of C^2k
+_SIN = [(-1) ** k / math.factorial(2 * k + 1) for k in range(6)]  # of C^(2k+1)
+# In x = C^2: cos C = B0 + x^3 B1 and -sin C = C (S0 + x^3 S1), the blocks
+# B0, B1, S0, S1 (rows) of x, x^2, x^3 (columns) plus _UNITS times the identity.
+_BLOCKS = np.array([[_COS[1], _COS[2], 0.0], _COS[4:7],
+                    [-_SIN[1], -_SIN[2], 0.0], [-_SIN[4], -_SIN[5], 0.0]])
+_UNITS = np.array([_COS[0], _COS[3], -_SIN[0], -_SIN[3]])
+
+
+def _expm_sym(a: np.ndarray, scale: float) -> np.ndarray:
+    """exp(-i scale a) for real symmetric a: one matrix (d, d), or a stack
+    (..., d, d) each of whose exponentials equals its matrix's own call bit
+    for bit.  Each c = scale a / 2^j, j the fewest halvings to ||c||_1 <=
+    ``_EXPM_THETA``, takes cos c and sin c from their series by
+    Paterson-Stockmeyer in x = c^2 (six real products: x, x^2, x^3, x^3 B1,
+    x^3 S1 and c (S0 + x^3 S1)), forms cos c - i sin c and squares it j
+    times.  Besides a it holds at most eight real (d, d) arrays per matrix
+    at once, its result included.  ValueError if a has a nan or inf entry."""
+    shape, d = a.shape, a.shape[-1]
+    a = a.reshape(-1, d, d)
+    n = len(a)
+    norm = abs(scale) * np.abs(a).sum(axis=1).max(axis=1)
+    if not np.all(np.isfinite(norm)):
+        raise ValueError("cannot exponentiate a matrix with a nan or inf entry")
+    halvings = np.maximum(np.frexp(norm / _EXPM_THETA)[1], 0)
+    c = a * np.ldexp(float(scale), -halvings)[:, None, None]
+    powers = np.empty((n, 3, d, d))
+    x = np.matmul(c, c, out=powers[:, 0])
+    np.matmul(x, x, out=powers[:, 1])
+    np.matmul(powers[:, 1], x, out=powers[:, 2])
+    blocks = (_BLOCKS @ powers.reshape(n, 3, d * d)).reshape(n, 4, d, d)
+    blocks.reshape(n, 4, d * d)[..., :: d + 1] += _UNITS[:, None]  # diagonals
+    # x^3 B1 and x^3 S1 go where x^2 and x were
+    np.matmul(powers[:, 2], blocks[:, 1], out=powers[:, 1])
+    np.matmul(powers[:, 2], blocks[:, 3], out=powers[:, 0])
+    cos, msin = blocks[:, 0], blocks[:, 1]  # cos c, -sin c
+    cos += powers[:, 1]
+    blocks[:, 2] += powers[:, 0]
+    np.matmul(c, blocks[:, 2], out=msin)
+    del c, x, powers
+    out = np.empty((n, d, d), complex)
+    out.real, out.imag = cos, msin
+    del cos, msin, blocks
+    for k in range(1, halvings.max(initial=0) + 1):
+        square = out[halvings >= k]
+        out[halvings >= k] = square @ square
+    return out.reshape(shape)
+
 
 def reference_integrate(
     system: CoupledSystem,
@@ -376,9 +434,13 @@ def reference_integrate(
     whole integration is repeated at double resolution and the two results
     must agree to ``_CONVERGENCE_TOL`` (max-abs), else ConvergenceError.
     ValueError, before integrating, if substeps_per_cycle is outside
-    8 .. 2^60 // (num_cycles + 4) or both runs together take over
-    ``_CF4_MAX_EXPONENTIALS`` exponentials (2 per segment substep, 1 per
-    substep of a mirrored one: ``_mirrored``).
+    8 .. 2^60 // (num_cycles + 4); if pulse_width is not in (0, T / 4], T
+    the clock period, or is so narrow that its sixteen-width window is
+    shorter than one substep T / substeps_per_cycle (both runs could step
+    over every pulse and agree on a propagator with none); or if both runs
+    together take over ``_CF4_MAX_EXPONENTIALS`` exponentials (2 per
+    segment substep, 1 per substep of a mirrored one: ``_mirrored``).  Each
+    run is planned once, for the budget and the integration alike.
 
     Returns the rest-frame unitary at the final time, like evolve_full.
     """
@@ -391,16 +453,23 @@ def reference_integrate(
                          "(2^60 // (cycles + 4))")
     if not 0 < pulse_width <= 0.25 * system.clock_period:  # NaN fails too
         raise ValueError("pulse_width must be positive and well under a cycle")
+    narrowest = system.clock_period / substeps_per_cycle / (2 * _PULSE_CUTOFF_SIGMAS)
+    if pulse_width < narrowest:
+        raise ValueError(
+            f"pulse_width must be at least {narrowest:.3g} s, so that its "
+            f"{2 * _PULSE_CUTOFF_SIGMAS:g}-width window spans a substep; "
+            "raise substeps_per_cycle")
+    plans = {n: _cf4_plan(system, schedule, pulse_width, n)
+             for n in (substeps_per_cycle, 2 * substeps_per_cycle)}
     work = sum(key[0] * (1 if _mirrored(key, system.dim_sim) else 2)
-               for n in (substeps_per_cycle, 2 * substeps_per_cycle)
-               for key in set(_cf4_plan(system, schedule, pulse_width, n)[0]))
+               for plan in plans.values() for key in set(plan[0]))
     if work > _CF4_MAX_EXPONENTIALS:
         raise ValueError(
             f"the reference needs {work:.2e} matrix exponentials (over "
             f"{_CF4_MAX_EXPONENTIALS:.0e}); use fewer substeps or narrower pulses")
 
-    coarse = _cf4_run(system, schedule, pulse_width, substeps_per_cycle)
-    fine = _cf4_run(system, schedule, pulse_width, 2 * substeps_per_cycle)
+    coarse, fine = (_cf4_run(system, schedule, pulse_width, n, plan)
+                    for n, plan in plans.items())
     diff = float(np.max(np.abs(fine - coarse)))
     if diff > _CONVERGENCE_TOL:
         raise ConvergenceError(
@@ -445,12 +514,16 @@ def _cf4_plan(
 
 
 def _cf4_run(
-    system: CoupledSystem, schedule: PulseSchedule, pulse_width: float, substeps: int
+    system: CoupledSystem, schedule: PulseSchedule, pulse_width: float, substeps: int,
+    plan: tuple | None = None,
 ) -> np.ndarray:
     """Lab-frame CF4 propagator: the plan's static stretches and active
     segments in turn, each distinct stretch length and segment key formed
-    once and held only until its last use."""
-    keys, seg_lo, seg_hi, h, n_steps = _cf4_plan(system, schedule, pulse_width, substeps)
+    once and held only until its last use.  plan is the run's ``_cf4_plan``,
+    made here if not given."""
+    if plan is None:
+        plan = _cf4_plan(system, schedule, pulse_width, substeps)
+    keys, seg_lo, seg_hi, h, n_steps = plan
     # the run in time order: a stretch of n substeps with no pulse is the
     # int n, a segment its key
     pieces, pos = [], 0
@@ -483,11 +556,22 @@ def _static_propagator(eig: tuple, t: float) -> np.ndarray:
 def _mirrored(key: tuple, dim: int) -> bool:
     """Whether ``_cf4_segment`` integrates a segment by its first half: the
     segment is centred (every pulse at shift 0 and offset length / 2, so its
-    Hamiltonian is symmetric in time) and that half's exponentials, held
+    Hamiltonian is symmetric in time) and that half's pair products, held
     for the second half, fit in ``_TABLE_BYTES`` on dim states."""
     length, pulses = key
     return (all(2 * offset == length and shift == 0.0 for _, offset, shift in pulses)
-            and 16 * length * dim * dim <= _TABLE_BYTES)
+            and 16 * (length // 2) * dim * dim <= _TABLE_BYTES)
+
+
+# Real dim x dim arrays one substep of a ``_cf4_segment`` chunk holds at
+# most at once: its pair's Hamiltonians (2) and ``_expm_sym``'s arrays for
+# the pair (2 x 8, the exponentials included); after that the exponentials
+# (4) and one or two products (2 each).
+_SUBSTEP_ARRAYS = 18
+# Bytes of working arrays in one chunk: about one core's L2 cache.  On the
+# 40 ns CZ (49 states, 1 BLAS thread) chunks of 4-8 substeps integrated a
+# 40-cycle oracle in 50-53 ms, whole windows (16-52 substeps) in 63 ms.
+_CHUNK_BYTES = 1 << 21
 
 
 def _cf4_segment(
@@ -501,10 +585,12 @@ def _cf4_segment(
 
     Substep j applies exp(-i h first_j), then exp(-i h second_j), the two
     Gauss-Legendre mixes of its Hamiltonian.  The (first, second) pairs are
-    built and exponentiated as stacks (``_expm_herm``), a chunk of at most
-    ``_TABLE_BYTES`` of exponentials at a time, and chained in substep
-    order.  A mirrored segment (``_mirrored``) exponentiates its first half
-    only: substep length - 1 - j takes substep j's pair in swapped order.
+    built and exponentiated as stacks (``_expm_sym``), a chunk of at most
+    ``_CHUNK_BYTES`` of working arrays (``_SUBSTEP_ARRAYS`` a substep) at a
+    time; each pair is multiplied to its substep's product as one stack, and
+    the products are chained in substep order.  A mirrored segment
+    (``_mirrored``) exponentiates its first half only: substep length - 1 - j
+    is substep j's pair multiplied in swapped order, first @ second.
     """
     length, pulses = key
     dim = len(h_static)
@@ -515,26 +601,32 @@ def _cf4_segment(
     nodes = np.array([0.5 - _CF4_NODE, 0.5 + _CF4_NODE])[:, None]
     reach = _PULSE_CUTOFF_SIGMAS * pulse_width
     norm = 1.0 / (pulse_width * np.sqrt(2.0 * np.pi))
-    chunk = max(1, _TABLE_BYTES // (32 * (dim * dim + len(pulses))))
+    chunk = max(1, _CHUNK_BYTES // (8 * (_SUBSTEP_ARRAYS * dim * dim + 4 * len(pulses))))
+    ops = np.concatenate([h_static[None], gens])
     u = np.eye(dim, dtype=complex)
     held = []
     for lo in range(0, steps, chunk):
         j = np.arange(lo, min(lo + chunk, steps))[:, None, None]
         x = ((j - offset) + nodes) * h - shift  # (substeps, 2 nodes, pulses)
         amp = np.where(np.abs(x) <= reach, np.exp(-0.5 * (x / pulse_width) ** 2), 0.0)
-        h1, h2 = np.swapaxes(h_static + np.tensordot(norm * amp @ onehot, gens, 1), 0, 1)
-        pairs = np.stack([_CF4_W1 * h1 + _CF4_W2 * h2,  # earlier-node heavy, first
-                          _CF4_W2 * h1 + _CF4_W1 * h2], axis=1)
-        exps = _expm_herm(pairs, h)
-        for first, second in exps:
-            u = second @ (first @ u)
+        a1, a2 = np.swapaxes(norm * amp @ onehot, 0, 1)  # (substeps, channels)
+        # the pair mixes the nodes' Hamiltonians, so it mixes their amplitudes
+        mix = np.empty((len(a1), 2, len(ops)))
+        mix[..., 0] = _CF4_W1 + _CF4_W2
+        mix[:, 0, 1:] = _CF4_W1 * a1 + _CF4_W2 * a2  # earlier-node heavy, first
+        mix[:, 1, 1:] = _CF4_W2 * a1 + _CF4_W1 * a2
+        exps = _expm_sym(np.tensordot(mix, ops, 1), h)
+        first, second = exps[:, 0], exps[:, 1]
         if mirrored:
-            held.append(exps)
+            held.append(first @ second)
+        for step in second @ first:
+            u = step @ u
+        del exps, first, second, step  # room for the next chunk's arrays
     # the node times of substeps j and length - 1 - j are mirror images in
     # floating point too, so the swapped pair is the one the loop would form
-    for exps in reversed(held):
-        for first, second in exps[::-1]:
-            u = first @ (second @ u)
+    for products in reversed(held):
+        for step in products[::-1]:
+            u = step @ u
     return u
 
 

@@ -633,6 +633,9 @@ class TestSpectrumAndOracle:
             ["--pulse-width-ps", "-1"],
             ["--pulse-width-ps", "3"],  # over a quarter of the 8 ps cycle
             ["--pulse-width-ps", "nan"],
+            # a 16-width window under one of the 64 substeps of 0.125 ps
+            ["--pulse-width-ps", "0.001"],
+            ["--pulse-width-ps", "1e-300"],
             ["--substeps", "4"],
             ["--seed", "-1"],
         ):
@@ -671,6 +674,11 @@ class TestSpectrumAndOracle:
         assert run.returncode == 2
         assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
         assert run.stdout == ""
+
+    def test_oracle_refuses_a_pulse_narrower_than_a_substep(self):
+        # once integrated as no pulse at all (exit 0), or failed in eigh
+        # after RuntimeWarning lines: now one error line and no warning
+        self._refused("--cycles", "3", "--pulse-width-ps", "1e-300")
 
     def test_oracle_refuses_unbounded_work(self):
         # about 5e11 matrix exponentials: refused before integrating

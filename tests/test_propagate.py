@@ -19,11 +19,33 @@ from sfq_control.propagate import (
     ConvergenceError,
     _cf4_run,
     _expm_herm,
+    _expm_sym,
     _plan,
     pack_words,
 )
 from sfq_control.metrics import avg_leakage, gate_breakdown
 from sfq_control.system import kick_generator, lookup_target
+
+
+@pytest.fixture
+def exponentials(monkeypatch):
+    """The number of matrices each ``_expm_sym`` call exponentiates (one
+    call may take a stack), from here on."""
+    calls = []
+    real = propagate._expm_sym
+
+    def counting(a, scale):
+        calls.append(math.prod(a.shape[:-2]))
+        return real(a, scale)
+
+    monkeypatch.setattr(propagate, "_expm_sym", counting)
+    return calls
+
+
+def cz_40ns(transmon_pair):
+    """The 40 ns CZ problem's system: two x channels at tip 0.003, 49 states."""
+    channels = [sc.ControlChannel(0, "x", 0.003), sc.ControlChannel(1, "x", 0.003)]
+    return make_pair_system(*transmon_pair, channels=channels)
 
 
 @pytest.fixture(scope="module")
@@ -232,47 +254,67 @@ class TestReferenceIntegrator:
             sc.reference_integrate(system, sch, substeps_per_cycle=4)
         with pytest.raises(ValueError):
             sc.reference_integrate(system, sch, pulse_width=5e-12)
+        # a 16-width window shorter than one of 64 substeps of 8 ps
+        with pytest.raises(ValueError, match="spans a substep"):
+            sc.reference_integrate(system, sch, pulse_width=0.0078e-12)
 
-    def test_repeated_windows_are_integrated_once(self, transmon_pair, monkeypatch):
+    def test_repeated_windows_are_integrated_once(self, transmon_pair, exponentials):
         # a pulse in every cycle: the same window products, however many cycles
         q0, _ = transmon_pair
         system = sc.assemble([q0], 2, 4, channels=[sc.ControlChannel(0, "x", 0.03)])
-        calls = []
-
-        def counting(h, scale=1.0):  # one call may exponentiate a stack
-            calls.extend([scale] * math.prod(h.shape[:-2]))
-            return _expm_herm(h, scale)
-
-        monkeypatch.setattr(propagate, "_expm_herm", counting)
         counts = []
         for n in (10, 40):
-            calls.clear()
+            exponentials.clear()
             sc.reference_integrate(system, sc.PulseSchedule(np.ones((1, n), np.uint8)))
-            counts.append(len(calls))
+            counts.append(sum(exponentials))
         assert counts[0] == counts[1] > 0
 
-    def test_work_budget_counts_the_exponentials_taken(self, transmon_pair, monkeypatch):
+    def test_work_budget_counts_the_exponentials_taken(
+        self, transmon_pair, monkeypatch, exponentials
+    ):
         # the budget is checked on exactly the exponentials both runs take,
         # and a run over it is refused before any is taken
         q0, _ = transmon_pair
         system = sc.assemble([q0], 2, 4, channels=[sc.ControlChannel(0, "x", 0.03)])
         sch = sc.PulseSchedule.random(np.random.default_rng(9), 1, 12)
-        calls = []
-
-        def counting(h, scale=1.0):  # one call may exponentiate a stack
-            calls.extend([scale] * math.prod(h.shape[:-2]))
-            return _expm_herm(h, scale)
-
-        monkeypatch.setattr(propagate, "_expm_herm", counting)
         sc.reference_integrate(system, sch)
-        taken = len(calls)
+        taken = sum(exponentials)
         monkeypatch.setattr(propagate, "_CF4_MAX_EXPONENTIALS", taken)
         sc.reference_integrate(system, sch)
         monkeypatch.setattr(propagate, "_CF4_MAX_EXPONENTIALS", taken - 1)
-        calls.clear()
+        exponentials.clear()
         with pytest.raises(ValueError, match="matrix exponentials"):
             sc.reference_integrate(system, sch)
-        assert calls == []
+        assert exponentials == []
+
+    def test_each_run_is_planned_once(self, transmon_pair, monkeypatch):
+        # the budget is checked on the plans the two runs integrate from
+        q0, _ = transmon_pair
+        system = sc.assemble([q0], 2, 4, channels=[sc.ControlChannel(0, "x", 0.03)])
+        plans, real = [], propagate._cf4_plan
+
+        def counting(*args):
+            plans.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(propagate, "_cf4_plan", counting)
+        sc.reference_integrate(system, sc.PulseSchedule.random(np.random.default_rng(9), 1, 12))
+        assert plans == [64, 128]
+
+    def test_only_h_static_is_diagonalised(self, transmon_pair, monkeypatch):
+        # the substep exponentials take no eigendecomposition: one eigh of
+        # h_static per run, for its static stretches
+        system = cz_40ns(transmon_pair)
+        seen, real = [], np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            seen.append(a)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        sc.reference_integrate(system, sc.PulseSchedule.random(np.random.default_rng(1), 2, 6))
+        assert len(seen) == 2
+        assert all(np.array_equal(a, system.h_static) for a in seen)
 
     def test_pulse_free_run_does_not_scale_with_substeps(self, transmon_pair):
         q0, _ = transmon_pair
@@ -306,29 +348,22 @@ class TestReferenceIntegrator:
             )
 
     def test_centred_windows_take_one_exponential_per_substep(
-        self, transmon_pair, monkeypatch
+        self, transmon_pair, exponentials
     ):
         # a window centred on its cycle start is symmetric in time and takes
         # length exponentials per run; the shifted cycle-0 window and a
         # window cut at the end take two per substep
         q0, _ = transmon_pair
         system = sc.assemble([q0], 2, 4, channels=[sc.ControlChannel(0, "x", 0.03)])
-        calls = []
-
-        def counting(h, scale=1.0):
-            calls.extend([scale] * math.prod(h.shape[:-2]))
-            return _expm_herm(h, scale)
-
-        monkeypatch.setattr(propagate, "_expm_herm", counting)
 
         def taken(cycles, width):
             bits = np.zeros((1, 6), np.uint8)
             bits[0, cycles] = 1
             schedule = sc.PulseSchedule(bits)
             keys = set(propagate._cf4_plan(system, schedule, width, 16)[0])
-            calls.clear()
+            exponentials.clear()
             _cf4_run(system, schedule, width, 16)
-            return len(calls), sorted(length for length, _ in keys)
+            return sum(exponentials), sorted(length for length, _ in keys)
 
         # 0.25 ps pulses at 16 substeps of 0.5 ps: windows of 2 * 4 substeps
         assert taken([1, 3, 4], 0.25e-12) == (8, [8])
@@ -340,25 +375,98 @@ class TestReferenceIntegrator:
         assert taken([2, 5], 1.5e-12) == (48 + 80, [40, 48])
 
     def test_a_window_too_long_to_hold_its_half_is_not_mirrored(
-        self, transmon_pair, monkeypatch
+        self, transmon_pair, monkeypatch, exponentials
     ):
-        # with too few table bytes to hold half a window's exponentials it
-        # takes all of them, three substeps a chunk, to the same product
+        # with too few table bytes to hold half a window's products it takes
+        # every exponential, three substeps a chunk, to the same product
         q0, _ = transmon_pair
         system = sc.assemble([q0], 2, 4, channels=[sc.ControlChannel(0, "x", 0.03)])
         schedule = sc.PulseSchedule(np.array([[0, 1, 0, 1]], np.uint8))
         whole = _cf4_run(system, schedule, 0.25e-12, 16)
-        calls = []
-
-        def counting(h, scale=1.0):
-            calls.append(math.prod(h.shape[:-2]))
-            return _expm_herm(h, scale)
-
-        monkeypatch.setattr(propagate, "_expm_herm", counting)
-        # 16 states and one pulse: 32 * (16 + 1) bytes a substep
-        monkeypatch.setattr(propagate, "_TABLE_BYTES", 3 * 32 * 17)
+        exponentials.clear()
+        # 4 states: half of an 8-substep window holds 4 products of 16 * 4^2
+        # bytes, and one pulse takes 8 * (_SUBSTEP_ARRAYS * 4^2 + 4) a substep
+        monkeypatch.setattr(propagate, "_TABLE_BYTES", 4 * 16 * 4 * 4 - 1)
+        monkeypatch.setattr(propagate, "_CHUNK_BYTES",
+                            3 * 8 * (propagate._SUBSTEP_ARRAYS * 4 * 4 + 4))
         assert np.array_equal(_cf4_run(system, schedule, 0.25e-12, 16), whole)
-        assert calls == [6, 6, 4]  # 8 substeps, two exponentials each
+        assert exponentials == [6, 6, 4]  # 8 substeps, two exponentials each
+
+
+    def test_a_mirrored_window_in_chunks_is_the_same_product(
+        self, transmon_pair, monkeypatch, exponentials
+    ):
+        # the held products of each chunk go back in reverse, last chunk first
+        q0, _ = transmon_pair
+        system = sc.assemble([q0], 2, 4, channels=[sc.ControlChannel(0, "x", 0.03)])
+        schedule = sc.PulseSchedule(np.array([[0, 1, 0, 1]], np.uint8))
+        whole = _cf4_run(system, schedule, 0.25e-12, 16)
+        exponentials.clear()
+        monkeypatch.setattr(propagate, "_CHUNK_BYTES",
+                            3 * 8 * (propagate._SUBSTEP_ARRAYS * 4 * 4 + 4))
+        assert np.array_equal(_cf4_run(system, schedule, 0.25e-12, 16), whole)
+        assert exponentials == [6, 2]  # the 4 substeps of the half
+
+class TestExpmSym:
+    def test_substep_exponentials_of_the_40ns_cz_are_exact(self, transmon_pair, monkeypatch):
+        # on the CF4 substep pairs of the 40 ns CZ oracle (49 states) each
+        # exponential is within 1e-15 of scipy's; eigh's is 2-4e-15 off
+        system = cz_40ns(transmon_pair)
+        taken, real = [], propagate._expm_sym
+
+        def keeping(a, scale):
+            out = real(a, scale)
+            taken.append((a, scale, out))
+            return out
+
+        monkeypatch.setattr(propagate, "_expm_sym", keeping)
+        _cf4_run(system, sc.PulseSchedule.random(np.random.default_rng(4), 2, 4),
+                 0.25e-12, 64)
+        assert sum(math.prod(a.shape[:-2]) for a, _, _ in taken) >= 100
+        for a, scale, out in taken:
+            for i in np.ndindex(a.shape[:-2]):
+                np.testing.assert_allclose(
+                    out[i], scipy.linalg.expm(-1j * scale * a[i]), rtol=0, atol=1e-15
+                )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 8),
+        norms=st.lists(st.just(0.0) | st.floats(1e-3, 1e3), min_size=1, max_size=5),
+        scale=st.sampled_from([1.0, -0.7, 2.5e-13]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=5, norms=[0.0, 0.3, 40.0, 1e3], scale=1.0, seed=0)  # 0 to 12 squarings
+    def test_a_stack_is_each_matrix_alone_and_matches_scipy(self, d, norms, scale, seed):
+        # norms (of scale * a) up to 1e3 take up to 12 squarings, several
+        # counts in one stack
+        g = np.random.default_rng(seed).normal(size=(len(norms), d, d))
+        a = g + g.swapaxes(-1, -2)
+        a *= (np.array(norms) / np.maximum(np.abs(scale * a).sum(axis=1).max(axis=1),
+                                           1e-300))[:, None, None]
+        stack = _expm_sym(a, scale)
+        assert stack.shape == a.shape and stack.dtype == complex
+        for i in range(len(a)):
+            assert np.array_equal(stack[i], _expm_sym(a[i], scale))
+            np.testing.assert_allclose(
+                stack[i], scipy.linalg.expm(-1j * scale * a[i]), rtol=0, atol=1e-12
+            )
+
+    def test_the_series_is_exact_to_rounding_up_to_theta(self):
+        # 1 x 1 matrices up to _EXPM_THETA take no squaring, and the series
+        # must be exact to rounding there (one term shorter, 4e-15 off)
+        lam = np.linspace(-propagate._EXPM_THETA, propagate._EXPM_THETA, 2001)
+        got = _expm_sym(lam[:, None, None], 1.0)[:, 0, 0]
+        np.testing.assert_allclose(got, np.exp(-1j * lam), rtol=0, atol=3e-16)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_matrix_is_refused(self, bad):
+        a = np.zeros((2, 3, 3))
+        a[1, 0, 2] = a[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="nan or inf"):
+            _expm_sym(a, 0.5)
+        with pytest.raises(ValueError, match="nan or inf"):
+            _expm_sym(np.eye(3), bad)
 
 
 def stepwise_cf4(system, schedule, pulse_width, substeps_per_cycle, cutoff):

@@ -6,7 +6,8 @@ fired.  All 2^n_channels cycle unitaries are precomputed once, so evolving a
 schedule is a chain of matrix products, all formed by the one kernel
 ``chain``.  Every evolution chains k cycles per product from word tables
 (the Four-Russians lookup: a k-cycle word indexes its precomputed product),
-with k the power of two of fewest multiply-adds (``_word_size``).
+with k the power of two or three times a power of two of fewest
+multiply-adds (``_word_size``).
 Results are reported in the rest frame of the uncoupled qubits, with the
 frame rotation applied once at the final time.
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -43,6 +45,7 @@ __all__ = [
     "BitstreamFormatError",
     "precompute",
     "pack_words",
+    "word_products",
     "word_tables",
     "chain",
     "chain_bits",
@@ -152,44 +155,79 @@ def pack_words(bits: np.ndarray, k: int) -> np.ndarray:
 # table of 2^(nch k) entries holds 16 d^2 bytes per complex entry and
 # 32 d^2 once lifted to real (``_real``).
 _TABLE_BYTES = 1 << 26
+# Bytes of working arrays in one chunk: about one core's L2 cache.  On the
+# 40 ns CZ (1 BLAS thread) chunks of 4-8 substeps integrated a 40-cycle
+# oracle on 49 states in 50-53 ms, whole windows (16-52 substeps) in 63 ms,
+# and the 760 distinct words of a 5000-cycle schedule formed their T_6
+# entries on 25 states in 5.5 ms by chunks, 9 ms all at once.
+_CHUNK_BYTES = 1 << 21
 
 
 def _word_size(nch: int, d: int, c: int, n: int, real: bool = False) -> int:
-    """The power of two k <= max(n, 1) that chains n cycles of c columns on
-    d states in the fewest multiply-adds, the smallest on a tie: each table
-    T_j, j = 2, 4, ..., k, costs 2^(nch * j) * d^3 to build, and the chain
-    (n / k) * d^2 * c.  No T_j above T_1 holds more than ``_TABLE_BYTES``
-    (held real if real).  It reads only shapes, so a seed gives the same
-    run on every machine."""
-    best, least = 1, n * d * d * c
-    k, build = 1, 0
+    """The word size k <= max(n, 1), a power of two or three times one,
+    that chains n cycles of c columns on d states in the fewest
+    multiply-adds, the smallest on a tie: each table T_j of
+    ``word_tables(mats, k)`` above T_1 costs 2^(nch * j) * d^3 to build,
+    and the chain (n / k) * d^2 * c.  No T_j above T_1 holds more than
+    ``_TABLE_BYTES`` (held real if real).  It reads only shapes, so a seed
+    gives the same run on every machine."""
+    best, least = 1, Fraction(n * d * d * c)
     entry = (32 if real else 16) * d * d
-    while 2 * k <= n and entry << (nch * 2 * k) <= _TABLE_BYTES:
-        k *= 2
-        build += d**3 << (nch * k)
-        if build >= least:  # the build only grows with k
-            break
-        cost = build + n * d * d * c / k
-        if cost < least:
-            best, least = k, cost
-    return best
+    p, powers = 1, 0  # T_p, the largest power of two so far; T_2 .. T_p's cost
+    while True:
+        for k in (2,) if p == 1 else (p + p // 2, 2 * p):
+            if k > n or entry << (nch * k) > _TABLE_BYTES:
+                return best
+            build = powers + (d**3 << (nch * k))
+            if build >= least:  # the build only grows with k
+                return best
+            cost = build + Fraction(n * d * d * c, k)
+            if cost < least:
+                best, least = k, cost
+        p, powers = 2 * p, build
 
 
-def word_tables(mats: np.ndarray, k: int) -> list[np.ndarray]:
-    """[T_1 = mats, T_2, T_4, ..., T_k] by squaring, k a power of two
-    (every evolution takes k from ``_word_size``): T_j[w] is the product of
-    the j cycles packed in word w, earliest rightmost, so
-    T_2j[hi * len(T_j) + lo] = T_j[hi] @ T_j[lo]."""
-    tables = [mats]
-    while 1 << len(tables) <= k:
-        t = tables[-1]
-        tables.append(np.matmul(t[:, None], t[None, :]).reshape(-1, *t.shape[1:]))
+def word_products(tables: dict, k: int, words: np.ndarray | None = None) -> np.ndarray:
+    """T_k[words] from the two tables below it: T_k[hi * len(T_b) + lo] =
+    T_a[hi] @ T_b[lo], b the largest word size below k in tables and
+    a = k - b, earliest cycles rightmost.  words None: the whole T_k, in
+    word order; words (S,): their entries, a chunk of ``_CHUNK_BYTES`` of
+    operands and products at a time.  Each entry is the same one product
+    either way, so a table formed whole and its entries formed per use
+    agree bit for bit."""
+    b = max(j for j in tables if j < k)
+    ta, tb = tables[k - b], tables[b]
+    if words is None:
+        return np.matmul(ta[:, None], tb[None, :]).reshape(-1, *tb.shape[1:])
+    hi, lo = np.divmod(words, len(tb))
+    out = np.empty((len(words), *tb.shape[1:]), tb.dtype)
+    step = max(1, _CHUNK_BYTES // (3 * tb[0].nbytes))
+    for s in range(0, len(words), step):
+        np.matmul(ta[hi[s : s + step]], tb[lo[s : s + step]], out=out[s : s + step])
+    return out
+
+
+def word_tables(mats: np.ndarray, k: int, form: bool = True) -> dict:
+    """{j: T_j} for j = 1, 2, 4, ... below k, and k, where k is a power of
+    two or three times one (every evolution takes k from ``_word_size``):
+    T_1 = mats and T_j[w] is the product of the j cycles packed in word w,
+    earliest rightmost.  Each table is two below it (``word_products``):
+    T_2j = T_j x T_j by squaring, and T_(3j/2) = T_(j/2) x T_j.  form=False
+    leaves T_k None, for ``chain_bits`` to form per use."""
+    tables, j = {1: mats}, 1
+    while j < k:
+        j += min(j, k - j)
+        tables[j] = word_products(tables, j) if form or j < k else None
     return tables
 
 
 def chain(mats: np.ndarray, words: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Left-multiply m by mats[w] for each word w in turn: words (S,) chain
-    one operator with 2-D products, words (B, S) a batch m (B, dim, c)."""
+    one operator with 2-D products, words (B, S) a batch m (B, dim, c).  A
+    batch of one chains as one operator: the same products, without
+    gathering a stack of one at each step."""
+    if words.ndim == 2 and len(words) == 1:
+        return chain(mats, words[0], m[0])[None]
     if words.ndim == 1:
         for w in words:
             m = mats[w] @ m
@@ -199,18 +237,22 @@ def chain(mats: np.ndarray, words: np.ndarray, m: np.ndarray) -> np.ndarray:
     return m
 
 
-def chain_bits(
-    tables: list[np.ndarray], bits: np.ndarray, m: np.ndarray
-) -> np.ndarray:
-    """Chain a batch m (B, dim, c) along bits (B, nch, N) by word tables:
-    whole words of k cycles from tables[-1] (k = 2^(len(tables) - 1)), then
-    the N mod k cycles left by its binary expansion, largest part first."""
+def chain_bits(tables: dict, bits: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Chain a batch m (B, dim, c) along bits (B, nch, N) by word tables
+    (``word_tables``): whole words of k = max(tables) cycles from T_k, then
+    the N mod k cycles left by the powers of two below k, largest first.
+    While T_k is None it forms the products of the distinct words used
+    (``word_products``) and chains those: the same bits as T_k's entries."""
     start = 0
-    for j in reversed(range(len(tables))):
-        size = 1 << j
+    for size in sorted(tables, reverse=True):
         end = start + (bits.shape[-1] - start) // size * size
         if end > start:
-            m = chain(tables[j], pack_words(bits[..., start:end], size), m)
+            words = pack_words(bits[..., start:end], size)
+            mats = tables[size]
+            if mats is None:
+                used, index = np.unique(words, return_inverse=True)
+                mats, words = word_products(tables, size, used), index.reshape(words.shape)
+            m = chain(mats, words, m)
             start = end
     return m
 
@@ -266,7 +308,7 @@ def _plan(
     return cycles.combos[:, states][:, :, states], start, states
 
 
-def _tables(stack: np.ndarray, start: np.ndarray, schedule: PulseSchedule) -> list:
+def _tables(stack: np.ndarray, start: np.ndarray, schedule: PulseSchedule) -> dict:
     """The word tables of one evolution, at the word size of the rule
     (``_word_size``) for the plan's start columns chained along schedule."""
     k = _word_size(schedule.num_channels, stack.shape[1], start.shape[1],
@@ -281,24 +323,24 @@ def _real(mats: np.ndarray) -> np.ndarray:
 
 
 def _evolve(
-    system: CoupledSystem, tables: list[np.ndarray], bits: np.ndarray, start, rows,
+    system: CoupledSystem, tables: dict, bits: np.ndarray, start, rows,
     blocks=None,
 ) -> np.ndarray:
     """The one delta-kick evolution body: start chained along bits by the
     word tables (chain_bits), in the rest frame of the states rows.  Real
     tables (``_real``) chain the columns as [Re; Im] and fold them back to
-    complex.  blocks = (ops, src) chains the whole words of k cycles as
-    products of blocks instead, ops[src[:, j]] the product of the words of
-    block j of each row (the search's block reuse), then the rest by the
-    tables."""
+    complex.  blocks = (ops, src) chains the whole words of k = max(tables)
+    cycles as products of blocks instead, ops[src[:, j]] the product of the
+    words of block j of each row (the search's block reuse), then the rest
+    by the tables."""
     d, n = start.shape[-2], bits.shape[-1]
-    real = tables[0].dtype.kind == "f"
+    real = tables[1].dtype.kind == "f"
     if real:
         start = np.concatenate((start.real, start.imag), axis=-2)
     if blocks is not None:
         ops, src = blocks
         start = chain(ops, src, start)
-        bits = bits[..., n - n % (1 << (len(tables) - 1)):]
+        bits = bits[..., n - n % max(tables):]
     m = chain_bits(tables, bits, start)
     if real:
         m = m[..., :d, :] + 1j * m[..., d:, :]
@@ -568,10 +610,6 @@ def _mirrored(key: tuple, dim: int) -> bool:
 # the pair (2 x 8, the exponentials included); after that the exponentials
 # (4) and one or two products (2 each).
 _SUBSTEP_ARRAYS = 18
-# Bytes of working arrays in one chunk: about one core's L2 cache.  On the
-# 40 ns CZ (49 states, 1 BLAS thread) chunks of 4-8 substeps integrated a
-# 40-cycle oracle in 50-53 ms, whole windows (16-52 substeps) in 63 ms.
-_CHUNK_BYTES = 1 << 21
 
 
 def _cf4_segment(

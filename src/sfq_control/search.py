@@ -43,6 +43,7 @@ from .propagate import (
     chain,
     pack_words,
     precompute,
+    word_products,
     word_tables,
 )
 from .system import CoupledSystem, GateTarget
@@ -220,11 +221,19 @@ class _FitnessEngine:
     built once per engine, on the learning states the computational columns
     reach (``_plan``, by ``system.reach``: 6 of 25 on a z-only pair at
     n_levels 5, every state with an x channel).  k is the one rule of every
-    evolution (``_word_size``), for the computational columns of a whole
-    selection chained at once.  At most ``_REAL_STATES`` states chain in
-    real arithmetic: the tables are lifted once to [[Re, -Im], [Im, Re]]
-    blocks (``_real``), and ``_evolve`` folds the chained [Re; Im] columns
-    back to complex before the frame and the metrics.
+    evolution (``_word_size``), a power of two or three times one, for the
+    computational columns of population + selection: every fresh search
+    chains at least those through the same tables.  At most
+    ``_REAL_STATES`` states chain in real arithmetic: the tables are lifted
+    once to [[Re, -Im], [Im, Re]] blocks (``_real``), and ``_evolve`` folds
+    the chained [Re; Im] columns back to complex before the frame and the
+    metrics.
+
+    A complex engine forms its top table T_k (``form``) once a batch uses
+    as many whole words as T_k has entries, and ``run_ga`` forms it before
+    it forks, so its workers share the one table.  A smaller batch (the
+    batch of one of ``evaluate_fitness``) forms only the products of its
+    distinct words (``chain_bits``), the same bits as T_k's entries.
 
     Block reuse (real arithmetic only): the whole words split into nb
     blocks of b words (``_block_size``; the last one padded with identity
@@ -250,26 +259,34 @@ class _FitnessEngine:
         comp = system.comp_sim_indices
         stack, self.start, self.rows = _plan(cycles, system.learn_indices, comp)
         self.comp = np.searchsorted(self.rows, comp)
-        columns = len(comp) * config.selection_size
+        slots = config.population_size + config.selection_size
         d = len(self.rows)
         real = d <= _REAL_STATES
-        k = _word_size(len(system.channels), d, columns, num_cycles, real)
-        self.tables = word_tables(stack, k)
+        k = _word_size(len(system.channels), d, len(comp) * slots, num_cycles, real)
+        # lifted tables cannot form T_k's entries as complex products, so a
+        # real engine forms T_k here
+        self.tables = word_tables(stack, k, form=real)
+        self.entries = 1 << (len(system.channels) * k)
         self.num_cycles = num_cycles
         self.whole = num_cycles // k  # whole words
         if real:
-            self.tables = [_real(t) for t in self.tables]
-        slots = config.population_size + config.selection_size
+            self.tables = {j: _real(t) for j, t in self.tables.items()}
         self.b = _block_size(self.whole, slots, 32 * d * d) if real else 1
         self.nb = -(-self.whole // self.b)
         if self.b > 1:
             # T_k and one identity word, the pad of the last block
-            self.store = np.concatenate((self.tables[-1], np.eye(2 * d)[None]))
-            self.tables[-1] = self.store[:-1]
+            self.store = np.concatenate((self.tables[k], np.eye(2 * d)[None]))
+            self.tables[k] = self.store[:-1]
             self.pool = np.empty((slots * self.nb, 2 * d, 2 * d))
             self.member_words = np.zeros((slots, self.nb, self.b), dtype=np.int64)
         self.n_evaluations = 0
         self.workers: list = []  # (process, pipe) of each scoring worker
+
+    def form(self) -> None:
+        """Form the top table T_k whole, once."""
+        k = max(self.tables)
+        if self.tables[k] is None:
+            self.tables[k] = word_products(self.tables, k)
 
     def jobs(self) -> int:
         """Processes that score this engine's search batches: J
@@ -284,7 +301,7 @@ class _FitnessEngine:
     def _words(self, bits: np.ndarray) -> np.ndarray:
         """The block words of bits, (B, nb, b), the pad word ending the
         last block."""
-        k = 1 << (len(self.tables) - 1)
+        k = max(self.tables)
         words = pack_words(bits[..., : self.whole * k], k)
         pad = np.full((len(bits), self.nb * self.b - self.whole), len(self.store) - 1)
         return np.concatenate((words, pad), axis=1).reshape(len(bits), self.nb, self.b)
@@ -298,10 +315,13 @@ class _FitnessEngine:
     def _columns(self, bits: np.ndarray, blocks=None) -> np.ndarray:
         """The rest-frame computational columns of bits on the chained
         states, (B, rows, 2^q): by blocks = (ops, src) (``_evolve``), else,
-        when b > 1, by block ops built afresh from the bits."""
+        when b > 1, by block ops built afresh from the bits, else by T_k,
+        formed first if the batch uses as many words as it has entries."""
         if blocks is None and self.b > 1:
             src = np.arange(len(bits) * self.nb).reshape(len(bits), self.nb)
             blocks = (self._ops(self._words(bits)), src)
+        elif len(bits) * self.whole >= self.entries:
+            self.form()
         start = np.broadcast_to(self.start, (len(bits), *self.start.shape))
         return _evolve(self.cycles.system, self.tables, bits, start, self.rows, blocks)
 
@@ -631,6 +651,7 @@ def run_ga(
         )
 
     periodic = checkpoint_path is not None and checkpoint_every > 0
+    engine.form()  # before the fork, so the workers share the one T_k
     with _workers(engine):
         iteration = 0
         if resume_from is not None:

@@ -216,11 +216,9 @@ def _row_norm(op: np.ndarray) -> float:
 # -- kicks ------------------------------------------------------------------
 
 def _expm_herm(h: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """exp(-1j * scale * h) for Hermitian h via eigendecomposition: one
-    matrix (d, d), or a stack (..., d, d) in one call, each of whose
-    exponentials equals the one its matrix gets alone, bit for bit."""
+    """exp(-1j * scale * h) for Hermitian h via eigendecomposition."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * scale * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (v * np.exp(-1j * scale * w)) @ v.conj().T
 
 
 def kick_generator(system: CoupledSystem, channel: ControlChannel) -> np.ndarray:

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sfq_control as sc
-from conftest import GHZ, make_pair_system, random_problems, random_unitary, stepwise
+from conftest import (
+    GHZ, learning_block, make_pair_system, random_problems, random_unitary, stepwise,
+)
 from sfq_control.config import build_system, parse_config
 from sfq_control.metrics import _f1_batch, _f2_batch
 from sfq_control.propagate import (
@@ -53,11 +55,24 @@ def problems(draw):
 
 
 def word_sizes(nch):
-    """Every power-of-two word size whose table fits the entry cap."""
-    k = 1
-    while 1 << (nch * k) <= ENTRIES:
+    """Every word size, a power of two or three times one, whose table fits
+    the entry cap."""
+    yield 1
+    for k in candidate_sizes():
+        if 1 << (nch * k) > ENTRIES:
+            return
         yield k
-        k *= 2
+
+
+def candidate_sizes():
+    """The word sizes above 1 the rule may take, in increasing order: 2, 3,
+    4, 6, 8, 12, ..."""
+    p = 2
+    yield p
+    while True:
+        yield p + p // 2
+        p *= 2
+        yield p
 
 
 @settings(max_examples=100, deadline=None)
@@ -101,13 +116,46 @@ def test_real_and_complex_chains_agree(problem):
     for k in word_sizes(len(system.channels)):
         tables = word_tables(stack, k)
         cplx = _evolve(system, tables, bits, start, rows)
-        real = _evolve(system, [_real(t) for t in tables], bits, start, rows)
+        real = _evolve(system, {j: _real(t) for j, t in tables.items()}, bits, start, rows)
         assert real.dtype == complex
         assert np.max(np.abs(real - cplx)) <= 1e-12, k
         a, b = (np.ascontiguousarray(m[:, np.searchsorted(rows, comp)])
                 for m in (cplx, real))
         for f in (_f1_batch, lambda m, t: _f2_batch(m, t)[0]):
             assert np.max(np.abs(f(a, target) - f(b, target))) <= 1e-12, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_problems(), st.integers(0, 2**32 - 1))
+def test_formed_and_per_use_tables_score_alike(problem, seed):
+    # T_k formed whole, or only the products of a batch's distinct words
+    # formed where they are used: the same bits, so each row scores alike
+    # in the whole batch, alone and in any sub-batch
+    system, bits = problem
+    cycles = sc.precompute(system)
+    comp = system.comp_sim_indices
+    stack, start, rows = _plan(cycles, system.learn_indices, comp)
+    cols = np.searchsorted(rows, comp)
+    target = random_unitary(np.random.default_rng(len(rows)), 2**system.num_qubits)
+    learn = np.searchsorted(system.learn_indices, rows)
+    want = [learning_block(cycles, row)[learn][:, system.comp_indices] for row in bits]
+
+    def scored(tables, part):
+        m = _evolve(system, tables, bits[part],
+                    np.broadcast_to(start, (len(part), *start.shape)), rows)
+        return m, _f2_batch(np.ascontiguousarray(m[:, cols]), target)[0]
+
+    rng = np.random.default_rng(seed)
+    for k in word_sizes(len(system.channels)):
+        m, f2 = scored(word_tables(stack, k), np.arange(len(bits)))
+        per_use = word_tables(stack, k, form=False)
+        order = rng.permutation(len(bits))
+        parts = [[i] for i in order] + np.split(order, np.sort(rng.integers(0, 4, 2)))
+        for part in filter(len, parts):
+            got, got_f2 = scored(per_use, part)
+            assert np.array_equal(got, m[part]) and np.array_equal(got_f2, f2[part]), k
+        for i, block in enumerate(want):
+            assert np.max(np.abs(m[i] - block)) <= 1e-12, k
 
 
 @settings(max_examples=50, deadline=None)
@@ -143,25 +191,33 @@ def test_both_paths_match_scipy_expm(problem):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 100), st.integers(1, 300), st.integers(0, 2000),
        st.booleans())
-def test_word_size_is_the_cheapest_power_of_two(nch, d, c, n, real):
+def test_word_size_is_the_cheapest_candidate(nch, d, c, n, real):
+    # brute force over every power of two and three times a power of two
+    def below(k):  # the tables word_tables builds for k, T_1 excluded
+        powers = [1 << i for i in range(1, k.bit_length()) if 1 << i < k]
+        return powers + [k] if k > 1 else []
+
     def cost(k):  # exact, so the minimum is exact
-        build = sum(2 ** (nch * j) * d**3 for j in (2**i for i in range(1, k.bit_length())))
+        build = sum(2 ** (nch * j) * d**3 for j in below(k))
         return build + Fraction(n * d * d * c, k)
 
     def fits(k):  # T_1 is the cycle stack itself; every table above it is bounded
-        return k == 1 or 2 ** (nch * k) * (32 if real else 16) * d * d <= _TABLE_BYTES
+        return all(2 ** (nch * j) * (32 if real else 16) * d * d <= _TABLE_BYTES
+                   for j in below(k))
 
-    sizes = [1 << i for i in range(max(n, 1).bit_length()) if fits(1 << i)]
-    assert _word_size(nch, d, c, n, real) == min(sizes, key=cost)
+    sizes = [k for k in {1 << i for i in range(12)} | {3 << i for i in range(11)}
+             if k <= max(n, 1) and fits(k)]
+    assert _word_size(nch, d, c, n, real) == min(sorted(sizes), key=cost)
 
 
 def test_long_schedules_keep_their_tables_in_bounds():
-    # without the byte bound both take k = 8: a 655 MB T_8 for the 25-state
-    # search at 10^5 cycles, 2.5 GB for the 49-state oracle at 10^6 cycles
-    for d, c, n in ((25, 240, 10**5), (49, 49, 10**6)):
+    # without the byte bound both take k = 6: a 41 MB T_6 for the 25-state
+    # search at 10^5 cycles, which fits, and a 157 MB one for the 49-state
+    # oracle at 10^6 cycles, which does not; the next size up never fits
+    for d, c, n, want, larger in ((25, 240, 10**5, 6, 8), (49, 49, 10**6, 4, 6)):
         k = _word_size(2, d, c, n)
-        assert k == 4
-        assert 2 ** (2 * k) * 16 * d * d <= _TABLE_BYTES < 2 ** (2 * 2 * k) * 16 * d * d
+        assert k == want
+        assert 2 ** (2 * k) * 16 * d * d <= _TABLE_BYTES < 2 ** (2 * larger) * 16 * d * d
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,8 +243,9 @@ def test_evolutions_at_the_rules_word_size_are_the_stepwise_loop(problem, n, see
 
 
 def test_word_sizes_of_the_named_problems(transmon_pair):
-    # the search engines keep the k of the old 256-entry cap on every named
-    # problem, and the 40 ns x-channel CZ report chains take 4, 2 and 2
+    # the search engines count the columns of population + selection, so
+    # the 25-state x-channel searches take T_6 (41 MB) and criterion 6 at
+    # 1250 cycles T_12; the 40 ns x-channel CZ report chains take 4, 3 and 2
     q0, q1 = transmon_pair
     z1 = [ControlChannel(1, "z", 0.03)]
     cz = lookup_target("CZ")
@@ -197,16 +254,19 @@ def test_word_sizes_of_the_named_problems(transmon_pair):
         (make_pair_system(q0, q1, j_ghz=0.1, channels=z1), cz, 625, 8),  # cz_z
         (make_pair_system(q0, q1, channels=[ControlChannel(0, "x", 0.003),
                                             ControlChannel(1, "x", 0.003)]),
-         cz, 5000, 4),  # cz_x
+         cz, 5000, 6),  # cz_x
         (build_system(regression), regression.target(), regression.num_cycles, 4),
         (make_pair_system(q0, q1, n_levels=2, n_sim=2, channels=[
             ControlChannel(0, "x", 0.03), ControlChannel(1, "x", 0.03)]),
-         cz, 2500, 4),  # criterion 5
-        (make_pair_system(q0, q1, j_ghz=0.05, channels=z1), cz, 1250, 8),  # criterion 6
+         cz, 2500, 6),  # criterion 5
+        (make_pair_system(q0, q1, j_ghz=0.05, channels=z1), cz, 1250, 12),  # criterion 6
     ]
     for system, target, n, k in named:
         engine = _FitnessEngine(sc.precompute(system), target, n, GaConfig())
-        assert 1 << (len(engine.tables) - 1) == k
+        assert max(engine.tables) == k
+        engine.form()
+        top = engine.tables[k]
+        assert len(top) == 2 ** (len(system.channels) * k) and top.nbytes <= _TABLE_BYTES
     # canonical 25 x 25 learning block, then 4 columns on 49 and 81 states
     assert [_word_size(2, 25, 25, 5000), _word_size(2, 49, 4, 5000),
-            _word_size(2, 81, 4, 5000)] == [4, 2, 2]
+            _word_size(2, 81, 4, 5000)] == [4, 3, 2]

@@ -332,21 +332,6 @@ class TestReferenceIntegrator:
             _expm_herm(h, 0.7), scipy.linalg.expm(-0.7j * h), atol=1e-12
         )
 
-    @pytest.mark.parametrize("kind", ["real", "complex"])
-    def test_expm_herm_on_a_stack_is_each_matrix_alone(self, kind):
-        rng = np.random.default_rng(8)
-        a = rng.normal(size=(3, 2, 7, 7))
-        if kind == "complex":
-            a = a + 1j * rng.normal(size=a.shape)
-        h = a + a.conj().swapaxes(-1, -2)
-        stack = _expm_herm(h, 0.7)
-        assert stack.shape == h.shape
-        for i in np.ndindex(h.shape[:-2]):
-            assert np.array_equal(stack[i], _expm_herm(h[i], 0.7))
-            np.testing.assert_allclose(
-                stack[i], scipy.linalg.expm(-0.7j * h[i]), rtol=0, atol=1e-12
-            )
-
     def test_centred_windows_take_one_exponential_per_substep(
         self, transmon_pair, exponentials
     ):

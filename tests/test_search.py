@@ -210,8 +210,10 @@ class TestBatchEngine:
         bits = rng.integers(0, 2, size=(64, len(system.channels), n), dtype=np.uint8)
         for metric in ("f1", "f2"):
             engine = _FitnessEngine(precompute(system), target, n, GaConfig(metric=metric))
-            whole = engine._fitness_batch(bits)
+            # alone first: a complex engine forms products per use until a
+            # batch as large as its top table forms the table
             alone = [engine._fitness_batch(bits[i : i + 1])[0] for i in range(64)]
+            whole = engine._fitness_batch(bits)
             np.testing.assert_array_equal(alone, whole)
             for size in rng.integers(2, 65, size=6):
                 pick = rng.permutation(64)[:size]
@@ -229,7 +231,8 @@ class TestBatchEngine:
         system, target, n = named_problem(transmon_pair, problem)
         engine = _FitnessEngine(precompute(system), target, n, GaConfig())
         assert len(engine.rows) == states
-        assert {t.dtype.kind for t in engine.tables} == {kind}
+        engine.form()
+        assert {t.dtype.kind for t in engine.tables.values()} == {kind}
         assert (engine.b > 1) == (kind == "f")
 
     def test_a_generation_chains_blocks_not_words(self, transmon_pair, monkeypatch):
@@ -441,6 +444,48 @@ class TestRunGa:
         np.testing.assert_array_equal(runs[2].history, runs[1].history)
         np.testing.assert_array_equal(runs[2].best.bits, runs[1].best.bits)
         assert runs[2].n_evaluations == runs[1].n_evaluations == 70 + 3 * 60
+
+    def test_the_top_table_is_formed_once_before_the_fork(
+        self, transmon_pair, monkeypatch, tmp_path
+    ):
+        # evaluate_fitness on the 40 ns CZ forms only its distinct words'
+        # products, never the 4,096-entry T_6; a search at J = 2 forms T_6
+        # once, in this process, before it forks its worker
+        system, target, n = named_problem(transmon_pair, "cli")
+        log = tmp_path / "formed.txt"
+        real = propagate.word_products
+
+        def recording(tables, k, words=None):
+            out = real(tables, k, words)
+            with open(log, "a") as fh:  # workers write here too
+                fh.write(f"{os.getpid()} {len(out)} {len(multiprocessing.active_children())}\n")
+            return out
+
+        def formed():
+            rows = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+            log.unlink()
+            return rows
+
+        monkeypatch.setattr(propagate, "word_products", recording)
+        monkeypatch.setattr(search, "word_products", recording)
+        cycles = precompute(system)
+        bits = np.random.default_rng(3).integers(0, 2, size=(2, n), dtype=np.uint8)
+        score = evaluate_fitness(cycles, PulseSchedule(bits), target).f2
+        distinct = len(np.unique(propagate.pack_words(bits[:, : n - n % 6], 6)))
+        assert [size for _, size, _ in formed()] == [16, 256, distinct]
+        assert distinct < 4096
+
+        engine = _FitnessEngine(cycles, target, n, GaConfig())
+        engine.form()
+        assert engine._fitness_batch(bits[None])[0] == score
+        formed()
+
+        monkeypatch.setattr(search, "_cpus", lambda: 2)
+        with deadline(60.0):
+            run_ga(system, target, n, GaConfig(max_iterations=1, target_fidelity=1.0))
+        rows = formed()
+        assert {pid for pid, _, _ in rows} == {os.getpid()}
+        assert [children for _, size, children in rows if size == 4096] == [0]
 
     def test_j_is_the_cpus_this_process_may_run_on(self, monkeypatch):
         assert search._cpus() == len(os.sched_getaffinity(0))

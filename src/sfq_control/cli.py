@@ -5,13 +5,17 @@ Subcommands: learn, evaluate, sweep, spectrum, oracle.  Exit codes:
 written), 3 search or integration did not converge (learn still writes its
 report and bitstream), or a search was interrupted or lost a scoring worker
 (learn keeps its last periodic checkpoint, sweep its finished points).
+SIGTERM stops a search as Ctrl-C does.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import signal
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -45,6 +49,29 @@ from .search import WorkerError, load_checkpoint, run_ga
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_UNFINISHED = 3  # no convergence, or a stopped search
+
+
+class Terminated(BaseException):
+    """SIGTERM during a search: a BaseException, like Ctrl-C's
+    KeyboardInterrupt, so that it stops the search the same way."""
+
+
+@contextlib.contextmanager
+def _terminable():
+    """SIGTERM raises Terminated in the with block; the previous handler is
+    back when it is left, so in-process callers of ``main`` keep their own.
+    Only the main thread may set a handler, so another thread's block
+    leaves SIGTERM as it is."""
+    def stop(signum, frame):
+        raise Terminated
+
+    main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, stop) if main else None
+    try:
+        yield
+    finally:
+        if main:
+            signal.signal(signal.SIGTERM, previous)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -159,22 +186,23 @@ def cmd_learn(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out / "checkpoint.txt" if args.checkpoint_every > 0 else None
     try:
-        result = run_ga(
-            system,
-            target,
-            cfg.num_cycles,
-            cfg.ga,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=args.checkpoint_every,
-            resume_from=args.resume,
-        )
-        schedule = result.best.schedule()
-        report = evaluate_gate(cfg, command="learn", search=result)
-        report_path = out / "report.txt"
-        bits_path = out / "bitstream.txt"
-        write_report(report_path, report)
-        write_bitstreams(bits_path, schedule, cfg.channel_keys(), cfg.clock_ps)
-    except (KeyboardInterrupt, WorkerError) as exc:
+        with _terminable():
+            result = run_ga(
+                system,
+                target,
+                cfg.num_cycles,
+                cfg.ga,
+                checkpoint_path=checkpoint_path,
+                checkpoint_every=args.checkpoint_every,
+                resume_from=args.resume,
+            )
+            schedule = result.best.schedule()
+            report = evaluate_gate(cfg, command="learn", search=result)
+            report_path = out / "report.txt"
+            bits_path = out / "bitstream.txt"
+            write_report(report_path, report)
+            write_bitstreams(bits_path, schedule, cfg.channel_keys(), cfg.clock_ps)
+    except (KeyboardInterrupt, Terminated, WorkerError) as exc:
         kept = _kept_checkpoint(checkpoint_path, args.checkpoint_every, system, target, cfg)
         print(f"error: learn {_stopped(exc)}; {kept}", file=sys.stderr)
         return EXIT_UNFINISHED
@@ -195,8 +223,11 @@ def cmd_learn(args) -> int:
 
 
 def _stopped(exc: BaseException) -> str:
-    """How a search stopped early: Ctrl-C, or a scoring worker's death."""
-    return "interrupted" if isinstance(exc, KeyboardInterrupt) else f"stopped: {exc}"
+    """How a search stopped early: Ctrl-C, SIGTERM, or a scoring worker's
+    death."""
+    if isinstance(exc, KeyboardInterrupt):
+        return "interrupted"
+    return "terminated (SIGTERM)" if isinstance(exc, Terminated) else f"stopped: {exc}"
 
 
 def _kept_checkpoint(path, every: int, system, target, cfg: ExperimentConfig) -> str:
@@ -285,30 +316,31 @@ def cmd_sweep(args) -> int:
     rows = [["value", "error_f1", "error_f2", "leakage", "iterations", "seconds"]]
     kept = 0
     try:
-        for i, (value, variant, system) in enumerate(zip(values, variants, systems)):
-            ga = replace(variant.ga, seed=cfg.ga.seed + i)
-            try:
-                result = run_ga(system, variant.target(), variant.num_cycles, ga)
-                report = evaluate_gate(variant, search=result)
-                rows.append([
-                    repr(value),
-                    repr(1.0 - report.f1),
-                    repr(1.0 - report.f2),
-                    repr(report.leakage),
-                    str(result.iterations_used),
-                    repr(result.wall_time_s),
-                ])
-                print(f"{args.param} = {value}: error = "
-                      f"{1.0 - result.best.fitness:.3e} "
-                      f"({result.iterations_used} iterations)")
-            except ValueError as exc:  # ConfigError included; keep sweeping
-                rows.append([repr(value), "", "", "", "", ""])
-                print(f"warning: point {args.param} = {value} failed: {exc}",
-                      file=sys.stderr)
-            with atomic_open(csv_path) as fh:  # every finished point survives a stop
-                csv.writer(fh).writerows(rows)
-            kept = len(rows) - 1
-    except (KeyboardInterrupt, WorkerError) as exc:
+        with _terminable():
+            for i, (value, variant, system) in enumerate(zip(values, variants, systems)):
+                ga = replace(variant.ga, seed=cfg.ga.seed + i)
+                try:
+                    result = run_ga(system, variant.target(), variant.num_cycles, ga)
+                    report = evaluate_gate(variant, search=result)
+                    rows.append([
+                        repr(value),
+                        repr(1.0 - report.f1),
+                        repr(1.0 - report.f2),
+                        repr(report.leakage),
+                        str(result.iterations_used),
+                        repr(result.wall_time_s),
+                    ])
+                    print(f"{args.param} = {value}: error = "
+                          f"{1.0 - result.best.fitness:.3e} "
+                          f"({result.iterations_used} iterations)")
+                except ValueError as exc:  # ConfigError included; keep sweeping
+                    rows.append([repr(value), "", "", "", "", ""])
+                    print(f"warning: point {args.param} = {value} failed: {exc}",
+                          file=sys.stderr)
+                with atomic_open(csv_path) as fh:  # every finished point survives a stop
+                    csv.writer(fh).writerows(rows)
+                kept = len(rows) - 1
+    except (KeyboardInterrupt, Terminated, WorkerError) as exc:
         print(f"error: sweep {_stopped(exc)}; {csv_path} keeps {kept} of "
               f"{len(values)} points", file=sys.stderr)
         return EXIT_UNFINISHED

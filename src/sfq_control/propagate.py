@@ -18,10 +18,12 @@ by substep doubling.  Each distinct pulse window is integrated once: when
 pulses are narrower than a cycle their windows repeat (one product per set
 of channels fired), and wide pulses whose windows overlap merge into one
 long segment integrated substep by substep.  A window centred on its cycle
-start is symmetric in time, so it exponentiates only its first half.  The
-substep exponentials are scaled Taylor polynomials of cos and sin in real
-arithmetic (``_expm_sym``); the one eigendecomposition per run is of
-h_static, for the stretches with no pulse.
+start is symmetric in time, so it exponentiates and chains only its first
+half, B, and is B^T B.  The substep exponentials are Taylor polynomials of
+cos and sin in real arithmetic (``_expm_sym``): degree 6 for a small
+substep, degree 12 with scaling and squaring otherwise.  The one
+eigendecomposition per call is of h_static, for the stretches with no
+pulse.
 """
 
 from __future__ import annotations
@@ -399,58 +401,86 @@ _CF4_MAX_EXPONENTIALS = 10**7  # per reference_integrate call, both runs
 _MAX_CYCLES = 10**6
 
 # exp(-i C), C = s A / 2^j real symmetric, as cos C - i sin C by their Taylor
-# series through C^12.  The first term dropped is C^13 / 13!, so with
-# ||C||_1 <= theta (the 1-norm bounds the 2-norm of a symmetric matrix) it is
-# below 2^-53 once theta^13 / 13! = 2^-53: theta = (13! 2^-53)^(1/13) = 0.336.
-# Each later term is smaller again by a factor ||C|| / 14 or less.
+# series.  The first term a series of degree m drops is C^(m+1) / (m+1)!, so
+# with ||C||_1 <= theta_m (the 1-norm bounds the 2-norm of a symmetric
+# matrix) it is below 2^-53 once theta_m^(m+1) / (m+1)! = 2^-53, and each
+# later term is smaller again by a factor ||C|| / (m+2) or less: degree 6
+# holds to theta_6 = (7! 2^-53)^(1/7) = 0.0178 with no halving, degree 12 to
+# theta_12 = (13! 2^-53)^(1/13) = 0.336 after j halvings.
+_THETA_6 = (math.factorial(7) * 2.0**-53) ** (1 / 7)
 _EXPM_THETA = (math.factorial(13) * 2.0**-53) ** (1 / 13)
 _COS = [(-1) ** k / math.factorial(2 * k) for k in range(7)]  # of C^2k
 _SIN = [(-1) ** k / math.factorial(2 * k + 1) for k in range(6)]  # of C^(2k+1)
-# In x = C^2: cos C = B0 + x^3 B1 and -sin C = C (S0 + x^3 S1), the blocks
-# B0, B1, S0, S1 (rows) of x, x^2, x^3 (columns) plus _UNITS times the identity.
-_BLOCKS = np.array([[_COS[1], _COS[2], 0.0], _COS[4:7],
-                    [-_SIN[1], -_SIN[2], 0.0], [-_SIN[4], -_SIN[5], 0.0]])
-_UNITS = np.array([_COS[0], _COS[3], -_SIN[0], -_SIN[3]])
+# The series as blocks (rows) of x = C^2, x^2, x^3 (columns) plus the units
+# times the identity.  Degree 6: cos C = B0 and -sin C = C S0.  Degree 12:
+# cos C = B0 + x^3 B1 and -sin C = C (S0 + x^3 S1).
+_SERIES = {
+    6: (np.array([_COS[1:4], [-_SIN[1], -_SIN[2], 0.0]]),
+        np.array([_COS[0], -_SIN[0]])),
+    12: (np.array([[_COS[1], _COS[2], 0.0], _COS[4:7],
+                   [-_SIN[1], -_SIN[2], 0.0], [-_SIN[4], -_SIN[5], 0.0]]),
+         np.array([_COS[0], _COS[3], -_SIN[0], -_SIN[3]])),
+}
 
 
 def _expm_sym(a: np.ndarray, scale: float) -> np.ndarray:
     """exp(-i scale a) for real symmetric a: one matrix (d, d), or a stack
     (..., d, d) each of whose exponentials equals its matrix's own call bit
-    for bit.  Each c = scale a / 2^j, j the fewest halvings to ||c||_1 <=
-    ``_EXPM_THETA``, takes cos c and sin c from their series by
-    Paterson-Stockmeyer in x = c^2 (six real products: x, x^2, x^3, x^3 B1,
-    x^3 S1 and c (S0 + x^3 S1)), forms cos c - i sin c and squares it j
-    times.  Besides a it holds at most eight real (d, d) arrays per matrix
-    at once, its result included.  ValueError if a has a nan or inf entry."""
+    for bit, since each matrix's own norm picks its series.  c = scale a
+    with ||c||_1 <= ``_THETA_6`` takes the degree-6 series (four real
+    products); any other takes the degree-12 series at c / 2^j, j the fewest
+    halvings to ||c / 2^j||_1 <= ``_EXPM_THETA`` (six real products), and is
+    squared j times (``_series``).  Besides a it holds at most eight real
+    (d, d) arrays per matrix at once, its result included.  ValueError if a
+    has a nan or inf entry."""
     shape, d = a.shape, a.shape[-1]
     a = a.reshape(-1, d, d)
-    n = len(a)
     norm = abs(scale) * np.abs(a).sum(axis=1).max(axis=1)
     if not np.all(np.isfinite(norm)):
         raise ValueError("cannot exponentiate a matrix with a nan or inf entry")
-    halvings = np.maximum(np.frexp(norm / _EXPM_THETA)[1], 0)
-    c = a * np.ldexp(float(scale), -halvings)[:, None, None]
+    short = norm <= _THETA_6
+    if short.all():
+        return _series(a * scale, 6).reshape(shape)
+    halvings = np.maximum(np.frexp(norm[~short] / _EXPM_THETA)[1], 0)
+    long = _series(a[~short] * np.ldexp(float(scale), -halvings)[:, None, None], 12)
+    for k in range(1, halvings.max(initial=0) + 1):
+        square = long[halvings >= k]
+        long[halvings >= k] = square @ square
+    if not short.any():
+        return long.reshape(shape)
+    out = np.empty((len(a), d, d), complex)
+    out[short], out[~short] = _series(a[short] * scale, 6), long
+    return out.reshape(shape)
+
+
+def _series(c: np.ndarray, degree: int) -> np.ndarray:
+    """cos c - i sin c for a stack c (n, d, d) by the series of degree 6 or
+    12 (``_SERIES``), Paterson-Stockmeyer in x = c^2: x, x^2, x^3, then
+    c S0 (degree 6), or x^3 B1, x^3 S1 and c (S0 + x^3 S1) (degree 12).  It
+    holds at most c, x .. x^3 and the blocks (two or four), seven or eight
+    real (d, d) arrays per matrix; the result is two."""
+    blocks, units = _SERIES[degree]
+    n, d = len(c), c.shape[-1]
     powers = np.empty((n, 3, d, d))
     x = np.matmul(c, c, out=powers[:, 0])
     np.matmul(x, x, out=powers[:, 1])
     np.matmul(powers[:, 1], x, out=powers[:, 2])
-    blocks = (_BLOCKS @ powers.reshape(n, 3, d * d)).reshape(n, 4, d, d)
-    blocks.reshape(n, 4, d * d)[..., :: d + 1] += _UNITS[:, None]  # diagonals
-    # x^3 B1 and x^3 S1 go where x^2 and x were
-    np.matmul(powers[:, 2], blocks[:, 1], out=powers[:, 1])
-    np.matmul(powers[:, 2], blocks[:, 3], out=powers[:, 0])
-    cos, msin = blocks[:, 0], blocks[:, 1]  # cos c, -sin c
-    cos += powers[:, 1]
-    blocks[:, 2] += powers[:, 0]
-    np.matmul(c, blocks[:, 2], out=msin)
-    del c, x, powers
+    terms = (blocks @ powers.reshape(n, 3, d * d)).reshape(n, len(blocks), d, d)
+    terms.reshape(n, len(blocks), d * d)[..., :: d + 1] += units[:, None]  # diagonals
+    cos, sin = terms[:, 0], terms[:, len(blocks) // 2]  # cos c and -sin c / c so far
+    if degree == 12:
+        # x^3 B1 and x^3 S1 go where x^2 and x were, -sin c where B1 was
+        np.matmul(powers[:, 2], terms[:, 1], out=powers[:, 1])
+        np.matmul(powers[:, 2], terms[:, 3], out=powers[:, 0])
+        cos += powers[:, 1]
+        sin += powers[:, 0]
+        msin = np.matmul(c, sin, out=terms[:, 1])
+    else:
+        msin = np.matmul(c, sin, out=powers[:, 0])  # where x was
+    del c, x, sin, powers
     out = np.empty((n, d, d), complex)
     out.real, out.imag = cos, msin
-    del cos, msin, blocks
-    for k in range(1, halvings.max(initial=0) + 1):
-        square = out[halvings >= k]
-        out[halvings >= k] = square @ square
-    return out.reshape(shape)
+    return out
 
 
 def reference_integrate(
@@ -470,9 +500,10 @@ def reference_integrate(
     give windows that repeat, so the cost follows the distinct sets of
     channels fired, not the cycle count.  A window centred on its cycle
     start (every cycle but cycle 0, unless cut at the end) is symmetric in
-    time, so its second half reuses its first half's exponentials.  Wide
-    pulses whose windows overlap fall back to one long segment.  Stretches
-    with no pulse take one static propagator per distinct length.  The
+    time, so its second half is the transpose of its first half's product.
+    Wide pulses whose windows overlap fall back to one long segment.
+    Stretches with no pulse take one static propagator per distinct length,
+    from one eigendecomposition of h_static that both runs share.  The
     whole integration is repeated at double resolution and the two results
     must agree to ``_CONVERGENCE_TOL`` (max-abs), else ConvergenceError.
     ValueError, before integrating, if substeps_per_cycle is outside
@@ -503,14 +534,15 @@ def reference_integrate(
             "raise substeps_per_cycle")
     plans = {n: _cf4_plan(system, schedule, pulse_width, n)
              for n in (substeps_per_cycle, 2 * substeps_per_cycle)}
-    work = sum(key[0] * (1 if _mirrored(key, system.dim_sim) else 2)
+    work = sum(key[0] * (1 if _mirrored(key) else 2)
                for plan in plans.values() for key in set(plan[0]))
     if work > _CF4_MAX_EXPONENTIALS:
         raise ValueError(
             f"the reference needs {work:.2e} matrix exponentials (over "
             f"{_CF4_MAX_EXPONENTIALS:.0e}); use fewer substeps or narrower pulses")
 
-    coarse, fine = (_cf4_run(system, schedule, pulse_width, n, plan)
+    operators = _cf4_operators(system)
+    coarse, fine = (_cf4_run(system, schedule, pulse_width, n, plan, operators)
                     for n, plan in plans.items())
     diff = float(np.max(np.abs(fine - coarse)))
     if diff > _CONVERGENCE_TOL:
@@ -557,14 +589,16 @@ def _cf4_plan(
 
 def _cf4_run(
     system: CoupledSystem, schedule: PulseSchedule, pulse_width: float, substeps: int,
-    plan: tuple | None = None,
+    plan: tuple | None = None, operators: tuple | None = None,
 ) -> np.ndarray:
     """Lab-frame CF4 propagator: the plan's static stretches and active
     segments in turn, each distinct stretch length and segment key formed
-    once and held only until its last use.  plan is the run's ``_cf4_plan``,
-    made here if not given."""
+    once and held only until its last use.  plan is the run's ``_cf4_plan``
+    and operators are ``_cf4_operators(system)``, each made here if not
+    given."""
     if plan is None:
         plan = _cf4_plan(system, schedule, pulse_width, substeps)
+    eig, ops = _cf4_operators(system) if operators is None else operators
     keys, seg_lo, seg_hi, h, n_steps = plan
     # the run in time order: a stretch of n substeps with no pulse is the
     # int n, a segment its key
@@ -574,19 +608,25 @@ def _cf4_run(
         pos = b
     pieces = [p for p in pieces + [n_steps - pos] if p != 0]
     last_use = {p: k for k, p in enumerate(pieces)}
-    eig = np.linalg.eigh(system.h_static)
-    gens = np.stack([kick_generator(system, c) for c in system.channels])
     u = np.eye(system.dim_sim, dtype=complex)
     held: dict = {}
     for k, piece in enumerate(pieces):
         op = held.pop(piece, None)
         if op is None:
             op = (_static_propagator(eig, piece * h) if isinstance(piece, int)
-                  else _cf4_segment(system.h_static, gens, piece, h, pulse_width))
+                  else _cf4_segment(ops, piece, h, pulse_width))
         if last_use[piece] > k:
             held[piece] = op
         u = op @ u
     return u
+
+
+def _cf4_operators(system: CoupledSystem) -> tuple[tuple, np.ndarray]:
+    """What every CF4 run of system shares: the eigendecomposition of
+    h_static, for the static stretches, and the stack [h_static, kick
+    generators...] that each substep's Hamiltonians mix."""
+    gens = [kick_generator(system, c) for c in system.channels]
+    return np.linalg.eigh(system.h_static), np.stack([system.h_static, *gens])
 
 
 def _static_propagator(eig: tuple, t: float) -> np.ndarray:
@@ -595,54 +635,53 @@ def _static_propagator(eig: tuple, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-def _mirrored(key: tuple, dim: int) -> bool:
+def _mirrored(key: tuple) -> bool:
     """Whether ``_cf4_segment`` integrates a segment by its first half: the
-    segment is centred (every pulse at shift 0 and offset length / 2, so its
-    Hamiltonian is symmetric in time) and that half's pair products, held
-    for the second half, fit in ``_TABLE_BYTES`` on dim states."""
+    segment is centred (every pulse at shift 0 and offset length / 2), so
+    its Hamiltonian is symmetric in time."""
     length, pulses = key
-    return (all(2 * offset == length and shift == 0.0 for _, offset, shift in pulses)
-            and 16 * (length // 2) * dim * dim <= _TABLE_BYTES)
+    return all(2 * offset == length and shift == 0.0 for _, offset, shift in pulses)
 
 
 # Real dim x dim arrays one substep of a ``_cf4_segment`` chunk holds at
 # most at once: its pair's Hamiltonians (2) and ``_expm_sym``'s arrays for
-# the pair (2 x 8, the exponentials included); after that the exponentials
-# (4) and one or two products (2 each).
+# the pair, the exponentials included (2 x 8 with the degree-12 series,
+# 2 x 7 with the degree-6 one); after that the exponentials (4) and their
+# product (2).  Nothing is held across chunks.  tracemalloc on the 40 ns CZ
+# read 18.4-18.8 a substep with every matrix on degree 12, 16.1-16.3 with
+# every one on degree 6.
 _SUBSTEP_ARRAYS = 18
 
 
 def _cf4_segment(
-    h_static: np.ndarray,
-    gens: np.ndarray,
-    key: tuple,
-    h: float,
-    pulse_width: float,
+    ops: np.ndarray, key: tuple, h: float, pulse_width: float
 ) -> np.ndarray:
-    """CF4 product over one active segment, times local to its start.
+    """CF4 product over one active segment, times local to its start; ops
+    is [h_static, kick generators...] (``_cf4_operators``).
 
-    Substep j applies exp(-i h first_j), then exp(-i h second_j), the two
-    Gauss-Legendre mixes of its Hamiltonian.  The (first, second) pairs are
-    built and exponentiated as stacks (``_expm_sym``), a chunk of at most
-    ``_CHUNK_BYTES`` of working arrays (``_SUBSTEP_ARRAYS`` a substep) at a
-    time; each pair is multiplied to its substep's product as one stack, and
-    the products are chained in substep order.  A mirrored segment
-    (``_mirrored``) exponentiates its first half only: substep length - 1 - j
-    is substep j's pair multiplied in swapped order, first @ second.
+    Substep j applies f_j = exp(-i h first_j), then s_j = exp(-i h
+    second_j), the two Gauss-Legendre mixes of its Hamiltonian.  The
+    (first, second) pairs are built and exponentiated as stacks
+    (``_expm_sym``), a chunk of at most ``_CHUNK_BYTES`` of working arrays
+    (``_SUBSTEP_ARRAYS`` a substep) at a time; each pair is multiplied to
+    its substep's product s_j f_j as one stack, and the products are chained
+    in substep order by ``chain``.  A mirrored segment (``_mirrored``) of
+    length 2m chains its first half only, B = (s_(m-1) f_(m-1)) ... (s_0
+    f_0), and returns B^T B: substep 2m - 1 - j applies s_j, then f_j, and
+    f_j, s_j are exponentials of real symmetric matrices, so complex
+    symmetric, and (f_0 s_0) ... (f_(m-1) s_(m-1)) = B^T.
     """
     length, pulses = key
-    dim = len(h_static)
-    mirrored = _mirrored(key, dim)
+    dim = ops.shape[-1]
+    mirrored = _mirrored(key)
     steps = length // 2 if mirrored else length
     channel, offset, shift = (np.array(a) for a in zip(*pulses))
-    onehot = np.eye(len(gens))[channel]  # (pulses, channels)
+    onehot = np.eye(len(ops) - 1)[channel]  # (pulses, channels)
     nodes = np.array([0.5 - _CF4_NODE, 0.5 + _CF4_NODE])[:, None]
     reach = _PULSE_CUTOFF_SIGMAS * pulse_width
     norm = 1.0 / (pulse_width * np.sqrt(2.0 * np.pi))
     chunk = max(1, _CHUNK_BYTES // (8 * (_SUBSTEP_ARRAYS * dim * dim + 4 * len(pulses))))
-    ops = np.concatenate([h_static[None], gens])
     u = np.eye(dim, dtype=complex)
-    held = []
     for lo in range(0, steps, chunk):
         j = np.arange(lo, min(lo + chunk, steps))[:, None, None]
         x = ((j - offset) + nodes) * h - shift  # (substeps, 2 nodes, pulses)
@@ -654,18 +693,10 @@ def _cf4_segment(
         mix[:, 0, 1:] = _CF4_W1 * a1 + _CF4_W2 * a2  # earlier-node heavy, first
         mix[:, 1, 1:] = _CF4_W2 * a1 + _CF4_W1 * a2
         exps = _expm_sym(np.tensordot(mix, ops, 1), h)
-        first, second = exps[:, 0], exps[:, 1]
-        if mirrored:
-            held.append(first @ second)
-        for step in second @ first:
-            u = step @ u
-        del exps, first, second, step  # room for the next chunk's arrays
-    # the node times of substeps j and length - 1 - j are mirror images in
-    # floating point too, so the swapped pair is the one the loop would form
-    for products in reversed(held):
-        for step in products[::-1]:
-            u = step @ u
-    return u
+        products = exps[:, 1] @ exps[:, 0]
+        del exps  # room for the next chunk's arrays
+        u = chain(products, np.arange(len(products)), u)
+    return u.T @ u if mirrored else u
 
 
 # -- bitstream exchange files --------------------------------------------------

@@ -418,8 +418,10 @@ def _serve(engine: _FitnessEngine, pipe, mains) -> None:
     ``_FitnessEngine.fitness``, and send its scores back, until the main
     process closes the pipe.  mains are the main process's ends of the pipes
     so far, this one's included.  Ctrl-C is the main process's to handle;
-    it stops the workers itself."""
+    it stops the workers itself.  SIGTERM, the main process's way to stop
+    one (``terminate``), kills it outright, whatever handler it inherited."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     for end in mains:  # held here, a main end would not close when the
         end.close()    # main process closes it
     try:
@@ -436,7 +438,7 @@ def _workers(engine: _FitnessEngine):
     hand them to ``engine.fitness``.  Forked, not spawned: they share the
     engine's word tables copy-on-write rather than precompute their own,
     and keep this process's BLAS thread setting.  However the block ends
-    (return, exception, Ctrl-C), every worker has exited and been joined
+    (return, exception, Ctrl-C, SIGTERM), every worker has exited and been joined
     when it is left: an idle one exits as its pipe closes, one that may be
     busy on a batch no one will read is terminated."""
     workers = []

@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -129,10 +130,26 @@ def interrupt_at(monkeypatch, n):
     spy_generations(monkeypatch, act)
 
 
+def terminate_at(monkeypatch, n):
+    """SIGTERM to this process at the start of the n-th generation."""
+    def act(i):
+        if i == n:
+            os.kill(os.getpid(), signal.SIGTERM)
+
+    spy_generations(monkeypatch, act)
+
+
 def write_variant(tmp_path, old, new, name="variant.ini"):
     path = tmp_path / name
     path.write_text(FAST_LEARN.replace(old, new))
     return path
+
+
+# (iteration stopped at, --checkpoint-every, what the error line says is kept)
+KEPT = [
+    (5, 2, "{ck} keeps iteration 4; resume with --resume {ck}"),
+    (1, 2, "no checkpoint was kept yet (--checkpoint-every is 2)"),
+    (3, 0, "no checkpoint was kept (--checkpoint-every is 0)")]
 
 
 class TestLearn:
@@ -275,27 +292,43 @@ class TestLearn:
         )
         assert code == 0
 
-    @pytest.mark.parametrize("at, every, kept", [
-        (5, 2, "{ck} keeps iteration 4; resume with --resume {ck}"),
-        (1, 2, "no checkpoint was kept yet (--checkpoint-every is 2)"),
-        (3, 0, "no checkpoint was kept (--checkpoint-every is 0)")])
+    @pytest.mark.parametrize("at, every, kept", KEPT)
     def test_interrupt_keeps_the_last_checkpoint(
         self, tmp_path, monkeypatch, capsys, at, every, kept
     ):
         # Ctrl-C at iteration `at` of the regression problem: one error line
         # and exit 3, no report, and a kept checkpoint resumes to the
         # uninterrupted run
+        self.stopped_learn_keeps_the_last_checkpoint(
+            tmp_path, monkeypatch, capsys, at, every, kept, interrupt_at, "interrupted")
+
+    @pytest.mark.parametrize("at, every, kept", KEPT)
+    def test_sigterm_keeps_the_last_checkpoint(
+        self, tmp_path, monkeypatch, capsys, at, every, kept
+    ):
+        # SIGTERM stops a search as Ctrl-C does, and the handler before
+        # the run is back after it
+        previous = signal.getsignal(signal.SIGTERM)
+        self.stopped_learn_keeps_the_last_checkpoint(
+            tmp_path, monkeypatch, capsys, at, every, kept, terminate_at,
+            "terminated (SIGTERM)")
+        assert signal.getsignal(signal.SIGTERM) is previous
+
+    @staticmethod
+    def stopped_learn_keeps_the_last_checkpoint(
+        tmp_path, monkeypatch, capsys, at, every, kept, stop_at, how
+    ):
         argv = ["learn", "--config", str(REGRESSION), "--max-iters", "8",
                 "--checkpoint-every", str(every)]
         assert cli.main(argv + ["--out-dir", str(tmp_path / "whole")]) == 3
         capsys.readouterr()
         cut = tmp_path / "cut"
         with monkeypatch.context() as patch:
-            interrupt_at(patch, at)
+            stop_at(patch, at)
             assert cli.main(argv + ["--out-dir", str(cut)]) == 3
         ck = cut / "checkpoint.txt"
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: learn interrupted; {kept.format(ck=ck)}"]
+        assert err == [f"error: learn {how}; {kept.format(ck=ck)}"]
         assert not (cut / "report.txt").exists()
         if ck.exists():
             resumed = tmp_path / "resumed"
@@ -317,6 +350,30 @@ class TestLearn:
         assert alive == [1, 1] and multiprocessing.active_children() == []
         assert capsys.readouterr().err.splitlines() == [
             "error: learn interrupted; no checkpoint was kept (--checkpoint-every is 0)"]
+        assert not (out / "report.txt").exists()
+
+    def test_sigterm_stops_the_scoring_workers(
+        self, cz_config, tmp_path, monkeypatch, capsys
+    ):
+        # the worker is terminated by SIGTERM's default action (exit code
+        # -SIGTERM), not by the handler it was forked with (a traceback,
+        # exit code 1)
+        terminate_at(monkeypatch, 2)
+        workers = []
+        spy_generations(monkeypatch, lambda n: workers.extend(multiprocessing.active_children()))
+        previous = signal.getsignal(signal.SIGTERM)
+        out = tmp_path / "run"
+        with deadline(60.0):
+            rc = cli.main(["learn", "--config", str(cz_config), "--out-dir", str(out),
+                           "--max-iters", "3"])
+        assert rc == 3
+        assert len(workers) == 2 and workers[0] is workers[1]
+        assert multiprocessing.active_children() == []
+        assert workers[0].exitcode == -signal.SIGTERM
+        assert signal.getsignal(signal.SIGTERM) is previous
+        assert capsys.readouterr().err.splitlines() == [
+            "error: learn terminated (SIGTERM); no checkpoint was kept "
+            "(--checkpoint-every is 0)"]
         assert not (out / "report.txt").exists()
 
     def test_dead_worker_exits_3_keeping_the_checkpoint(
@@ -508,17 +565,36 @@ class TestSweep:
     def test_interrupt_keeps_finished_points(
         self, fast_config, tmp_path, monkeypatch, capsys
     ):
+        def interrupt():
+            raise KeyboardInterrupt
+
+        self.stopped_sweep_keeps_finished_points(
+            fast_config, tmp_path, monkeypatch, capsys, interrupt, "interrupted")
+
+    def test_sigterm_keeps_finished_points(
+        self, fast_config, tmp_path, monkeypatch, capsys
+    ):
+        previous = signal.getsignal(signal.SIGTERM)
+        self.stopped_sweep_keeps_finished_points(
+            fast_config, tmp_path, monkeypatch, capsys,
+            lambda: os.kill(os.getpid(), signal.SIGTERM), "terminated (SIGTERM)")
+        assert signal.getsignal(signal.SIGTERM) is previous
+
+    @staticmethod
+    def stopped_sweep_keeps_finished_points(
+        fast_config, tmp_path, monkeypatch, capsys, stop, how
+    ):
         from sfq_control.search import run_ga as real_run_ga
 
         calls = []
 
-        def interrupted(*args, **kwargs):
+        def stopped(*args, **kwargs):
             calls.append(1)
             if len(calls) == 2:
-                raise KeyboardInterrupt
+                stop()
             return real_run_ga(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "run_ga", interrupted)
+        monkeypatch.setattr(cli, "run_ga", stopped)
         out = tmp_path / "sweep"
         rc = cli.main(
             ["sweep", "--config", str(fast_config), "--out-dir", str(out),
@@ -527,7 +603,7 @@ class TestSweep:
         )
         assert rc == 3
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: sweep interrupted; {out / 'sweep.csv'} keeps 1 of 3 points"]
+        assert err == [f"error: sweep {how}; {out / 'sweep.csv'} keeps 1 of 3 points"]
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "value,error_f1,error_f2,leakage,iterations,seconds"
         assert len(lines) == 2

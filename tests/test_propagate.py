@@ -303,7 +303,7 @@ class TestReferenceIntegrator:
 
     def test_only_h_static_is_diagonalised(self, transmon_pair, monkeypatch):
         # the substep exponentials take no eigendecomposition: one eigh of
-        # h_static per run, for its static stretches
+        # h_static per call, shared by both runs' static stretches
         system = cz_40ns(transmon_pair)
         seen, real = [], np.linalg.eigh
 
@@ -313,7 +313,7 @@ class TestReferenceIntegrator:
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
         sc.reference_integrate(system, sc.PulseSchedule.random(np.random.default_rng(1), 2, 6))
-        assert len(seen) == 2
+        assert len(seen) == 1
         assert all(np.array_equal(a, system.h_static) for a in seen)
 
     def test_pulse_free_run_does_not_scale_with_substeps(self, transmon_pair):
@@ -359,29 +359,11 @@ class TestReferenceIntegrator:
         assert taken([5], 1.5e-12) == (80, [40])
         assert taken([2, 5], 1.5e-12) == (48 + 80, [40, 48])
 
-    def test_a_window_too_long_to_hold_its_half_is_not_mirrored(
-        self, transmon_pair, monkeypatch, exponentials
-    ):
-        # with too few table bytes to hold half a window's products it takes
-        # every exponential, three substeps a chunk, to the same product
-        q0, _ = transmon_pair
-        system = sc.assemble([q0], 2, 4, channels=[sc.ControlChannel(0, "x", 0.03)])
-        schedule = sc.PulseSchedule(np.array([[0, 1, 0, 1]], np.uint8))
-        whole = _cf4_run(system, schedule, 0.25e-12, 16)
-        exponentials.clear()
-        # 4 states: half of an 8-substep window holds 4 products of 16 * 4^2
-        # bytes, and one pulse takes 8 * (_SUBSTEP_ARRAYS * 4^2 + 4) a substep
-        monkeypatch.setattr(propagate, "_TABLE_BYTES", 4 * 16 * 4 * 4 - 1)
-        monkeypatch.setattr(propagate, "_CHUNK_BYTES",
-                            3 * 8 * (propagate._SUBSTEP_ARRAYS * 4 * 4 + 4))
-        assert np.array_equal(_cf4_run(system, schedule, 0.25e-12, 16), whole)
-        assert exponentials == [6, 6, 4]  # 8 substeps, two exponentials each
-
-
     def test_a_mirrored_window_in_chunks_is_the_same_product(
         self, transmon_pair, monkeypatch, exponentials
     ):
-        # the held products of each chunk go back in reverse, last chunk first
+        # the first half B chains across chunks in substep order, so three
+        # substeps a chunk give the same B, and B^T B, bit for bit
         q0, _ = transmon_pair
         system = sc.assemble([q0], 2, 4, channels=[sc.ControlChannel(0, "x", 0.03)])
         schedule = sc.PulseSchedule(np.array([[0, 1, 0, 1]], np.uint8))
@@ -395,7 +377,9 @@ class TestReferenceIntegrator:
 class TestExpmSym:
     def test_substep_exponentials_of_the_40ns_cz_are_exact(self, transmon_pair, monkeypatch):
         # on the CF4 substep pairs of the 40 ns CZ oracle (49 states) each
-        # exponential is within 1e-15 of scipy's; eigh's is 2-4e-15 off
+        # exponential takes the degree-6 series and is within 1e-15 of
+        # scipy's (eigh's is 2-4e-15 off), and it is symmetric to rounding,
+        # which a mirrored window's B^T B rests on
         system = cz_40ns(transmon_pair)
         taken, real = [], propagate._expm_sym
 
@@ -409,10 +393,13 @@ class TestExpmSym:
                  0.25e-12, 64)
         assert sum(math.prod(a.shape[:-2]) for a, _, _ in taken) >= 100
         for a, scale, out in taken:
+            norms = abs(scale) * np.abs(a).sum(axis=-2).max(axis=-1)
+            assert np.all(norms <= propagate._THETA_6)
             for i in np.ndindex(a.shape[:-2]):
                 np.testing.assert_allclose(
                     out[i], scipy.linalg.expm(-1j * scale * a[i]), rtol=0, atol=1e-15
                 )
+                np.testing.assert_allclose(out[i], out[i].T, rtol=0, atol=2.0**-53)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -422,9 +409,10 @@ class TestExpmSym:
         seed=st.integers(0, 2**32 - 1),
     )
     @example(d=5, norms=[0.0, 0.3, 40.0, 1e3], scale=1.0, seed=0)  # 0 to 12 squarings
+    @example(d=6, norms=[0.01, 0.0177, 0.0178, 0.02], scale=-0.7, seed=1)  # theta_6
     def test_a_stack_is_each_matrix_alone_and_matches_scipy(self, d, norms, scale, seed):
         # norms (of scale * a) up to 1e3 take up to 12 squarings, several
-        # counts in one stack
+        # counts in one stack; norms up to _THETA_6 take the degree-6 series
         g = np.random.default_rng(seed).normal(size=(len(norms), d, d))
         a = g + g.swapaxes(-1, -2)
         a *= (np.array(norms) / np.maximum(np.abs(scale * a).sum(axis=1).max(axis=1),
@@ -438,11 +426,13 @@ class TestExpmSym:
             )
 
     def test_the_series_is_exact_to_rounding_up_to_theta(self):
-        # 1 x 1 matrices up to _EXPM_THETA take no squaring, and the series
-        # must be exact to rounding there (one term shorter, 4e-15 off)
-        lam = np.linspace(-propagate._EXPM_THETA, propagate._EXPM_THETA, 2001)
-        got = _expm_sym(lam[:, None, None], 1.0)[:, 0, 0]
-        np.testing.assert_allclose(got, np.exp(-1j * lam), rtol=0, atol=3e-16)
+        # 1 x 1 matrices up to _EXPM_THETA take no squaring, and each series
+        # must be exact to rounding up to its theta: degree 6 up to _THETA_6,
+        # degree 12 above it (one term shorter, 4e-14 and 4e-15 off)
+        for theta in (propagate._THETA_6, propagate._EXPM_THETA):
+            lam = np.linspace(-theta, theta, 2001)
+            got = _expm_sym(lam[:, None, None], 1.0)[:, 0, 0]
+            np.testing.assert_allclose(got, np.exp(-1j * lam), rtol=0, atol=3e-16)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_matrix_is_refused(self, bad):

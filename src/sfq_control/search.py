@@ -239,7 +239,8 @@ class _FitnessEngine:
     blocks of b words (``_block_size``; the last one padded with identity
     words), and a block's op is the product of its b table entries, formed
     by the same batched chain every time, so a score is a function of the
-    bits only.  The pool holds the ops of every population member (``keep``)
+    bits only.  The pool holds the ops of every population member (``keep``;
+    a fresh search scores its first population from them, ``kept_fitness``)
     and of one selection of children: a child's block whose words equal its
     head or tail parent's takes that parent's slot, every other block (the
     cut's, a flip's) is rebuilt (``offspring``), and winners copy their ops
@@ -367,6 +368,15 @@ class _FitnessEngine:
             words = self._words(population)
             self.member_words[: len(words)] = words
             self.pool[: len(words) * self.nb] = self._ops(words)
+
+    def kept_fitness(self, population: np.ndarray) -> np.ndarray:
+        """Fitness of the population ``keep`` last kept: its columns swept
+        across the ops in the pool, the same ops a fresh batch score would
+        build; with no pool, ``fitness``."""
+        if self.b == 1:
+            return self.fitness(population)
+        src = np.arange(len(population) * self.nb).reshape(len(population), self.nb)
+        return self._checked(self._score(self._columns(population, (self.pool, src))))
 
     def offspring(
         self, children: np.ndarray, heads: np.ndarray, tails: np.ndarray
@@ -496,26 +506,52 @@ def write_checkpoint(
     fitness: np.ndarray,
     config: GaConfig,
 ) -> None:
-    """Persist the full search state as structured text, atomically."""
-    cp = ConfigParser(interpolation=None)
-    cp["meta"] = {
-        "version": str(_CHECKPOINT_VERSION),
-        "fingerprint": fingerprint,
-        "iteration": str(iteration),
-        "population_size": str(population.shape[0]),
-        "num_channels": str(population.shape[1]),
-        "num_cycles": str(population.shape[2]),
+    """Persist the full search state as structured text, atomically.
+
+    The text is the one ``ConfigParser.write`` gives for the four sections
+    (``read_checkpoint`` reads it with ``ConfigParser``), formatted here in
+    one pass: every bit row is a slice of one bytes conversion.  ValueError
+    before the file is opened for a state ``read_checkpoint`` would refuse:
+    a population that is not (individuals, channels, cycles) of 0/1 bits,
+    or fitness that is not one finite value per individual.
+    """
+    population, fitness = np.asarray(population), np.asarray(fitness, dtype=float)
+    if population.ndim != 3:
+        raise ValueError("population must be an (individuals, channels, cycles) array")
+    # a uint8 population (every search's) is checked by one max, with no
+    # population-sized temporary
+    if not (population.max(initial=0) <= 1 if population.dtype == np.uint8
+            else np.all((population == 0) | (population == 1))):
+        raise ValueError("population bits must be 0 or 1")
+    p, nch, n = population.shape
+    if fitness.shape != (p,):
+        raise ValueError(f"fitness must hold one value per individual ({p})")
+    if not np.all(np.isfinite(fitness)):
+        raise ValueError("fitness values must be finite")
+    bits = (population.astype(np.uint8, copy=False) + ord("0")).tobytes().decode("ascii")
+    sections = {
+        "meta": {"version": _CHECKPOINT_VERSION, "fingerprint": fingerprint,
+                 "iteration": iteration, "population_size": p, "num_channels": nch,
+                 "num_cycles": n},
+        "ga": {f.name: getattr(config, f.name) for f in fields(GaConfig)},
+        "rng": {"state": json.dumps(rng.bit_generator.state)},
     }
-    cp["ga"] = {f.name: str(getattr(config, f.name)) for f in fields(GaConfig)}
-    cp["rng"] = {"state": json.dumps(rng.bit_generator.state)}
-    pop = {}
-    for i in range(population.shape[0]):
-        pop[f"fitness_{i}"] = float(fitness[i]).hex()
-        for c, row in enumerate(PulseSchedule(population[i]).bitstrings()):
-            pop[f"bits_{i}_{c}"] = row
-    cp["population"] = pop
+    out = []  # pieces of text, joined once; a section ends with a blank line
+    for name, keys in sections.items():
+        out.append(f"[{name}]\n")
+        for k, v in keys.items():
+            # a value's later lines indented, as ConfigParser continues a value
+            out += (k, " = ", str(v).replace("\n", "\n\t"), "\n")
+        out.append("\n")
+    out.append("[population]\n")
+    for i, value in enumerate(fitness.tolist()):
+        out.append(f"fitness_{i} = {value.hex()}\n")
+        for c in range(nch):
+            r = (i * nch + c) * n
+            out += (f"bits_{i}_{c} = ", bits[r:r + n], "\n")
+    out.append("\n")
     with atomic_open(path) as fh:
-        cp.write(fh)
+        fh.write("".join(out))
 
 
 def read_checkpoint(path) -> dict:
@@ -663,8 +699,9 @@ def run_ga(
             iteration = state["iteration"]
         else:
             population = rng.integers(0, 2, size=(p, nch, num_cycles), dtype=np.uint8)
-            fitness = engine.fitness(population)
         engine.keep(population)
+        if resume_from is None:
+            fitness = engine.kept_fitness(population)
 
         while fitness.max() < config.target_fidelity and iteration < config.max_iterations:
             iteration += 1

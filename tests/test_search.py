@@ -1,11 +1,13 @@
 """Genetic search: determinism, convergence, checkpointing, batch scoring."""
 
+import contextlib
 import io
+import json
 import multiprocessing
 import os
 import time
 from configparser import ConfigParser
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -570,7 +572,7 @@ class TestRunGa:
     def test_wall_time_counts_setup_and_first_scores(
         self, single_qubit_system, tiny_config, monkeypatch
     ):
-        real_fitness = search._FitnessEngine.fitness
+        real_fitness = search._FitnessEngine.kept_fitness
         calls = []
 
         def slow_first(self, bits):
@@ -579,7 +581,8 @@ class TestRunGa:
             calls.append(1)
             return real_fitness(self, bits)
 
-        monkeypatch.setattr(search._FitnessEngine, "fitness", slow_first)
+        # the call that scores the first population
+        monkeypatch.setattr(search._FitnessEngine, "kept_fitness", slow_first)
         cfg = replace(tiny_config, max_iterations=1)
         result = run_ga(single_qubit_system, lookup_target("X"), 10, cfg)
         assert result.wall_time_s >= 0.2
@@ -713,6 +716,48 @@ class TestCheckpoint:
             read_checkpoint(path)
         assert "\n" not in str(info.value)
 
+    @staticmethod
+    def assert_write_refused(tmp_path, match, population, fitness):
+        with pytest.raises(ValueError, match=match):
+            write_checkpoint(tmp_path / "ck.txt", fingerprint="f" * 64, iteration=3,
+                             rng=np.random.default_rng(0), population=population,
+                             fitness=fitness, config=GaConfig())
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_write_refuses_non_finite_fitness(self, tmp_path, bad):
+        # read_checkpoint refuses such a file, so it could never be resumed
+        fitness = np.array([0.5, bad, 0.25])
+        self.assert_write_refused(tmp_path, "finite", np.zeros((3, 1, 4), np.uint8), fitness)
+
+    @pytest.mark.parametrize("count", [0, 2, 4])
+    def test_write_refuses_a_fitness_count_other_than_the_population(self, tmp_path, count):
+        self.assert_write_refused(tmp_path, "one value per individual",
+                                  np.zeros((3, 1, 4), np.uint8), np.full(count, 0.5))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (3,), (3, 1, 4, 1)])
+    def test_write_refuses_a_population_that_is_not_3d(self, tmp_path, shape):
+        self.assert_write_refused(tmp_path, "individuals, channels, cycles",
+                                  np.zeros(shape, np.uint8), np.full(3, 0.5))
+
+    @pytest.mark.parametrize("bit, dtype", [
+        (2, np.uint8), (255, np.uint8), (2, np.int64), (256, np.int64), (-1, np.int64),
+        (0.5, np.float64),
+    ])
+    def test_write_refuses_bits_other_than_0_or_1(self, tmp_path, bit, dtype):
+        population = np.zeros((3, 1, 4), dtype=dtype)
+        population[1, 0, 2] = bit
+        self.assert_write_refused(tmp_path, "0 or 1", population, np.full(3, 0.5))
+
+    def test_a_value_of_several_lines_is_continued_as_configparser_does(self, tmp_path):
+        path, rng = tmp_path / "ck.txt", np.random.default_rng(0)
+        population, fitness = np.zeros((2, 1, 3), np.uint8), np.zeros(2)
+        write_checkpoint(path, fingerprint="ab\ncd", iteration=0, rng=rng,
+                         population=population, fitness=fitness, config=GaConfig())
+        assert path.read_bytes() == configparser_text(
+            "ab\ncd", 0, rng, population, fitness, GaConfig()).encode("ascii")
+        assert read_checkpoint(path)["fingerprint"] == "ab\ncd"
+
     def test_failed_write_keeps_previous_checkpoint(
         self, single_qubit_system, tmp_path, monkeypatch
     ):
@@ -724,16 +769,23 @@ class TestCheckpoint:
                checkpoint_path=path)
         before = path.read_bytes()
 
-        real_write = ConfigParser.write
+        real_open = search.atomic_open
 
-        def dies_partway(self, fh, *args, **kwargs):
-            buf = io.StringIO()
-            real_write(self, buf, *args, **kwargs)
-            fh.write(buf.getvalue()[: len(buf.getvalue()) // 2])
-            raise OSError("disk full")
+        @contextlib.contextmanager
+        def dies_partway(path):
+            # the fault is in the handle, so it hits whatever the writer writes
+            with real_open(path) as fh:
+                real_write = fh.write
+
+                def write(text):
+                    real_write(text[: len(text) // 2])
+                    raise OSError("disk full")
+
+                fh.write = write
+                yield fh
 
         longer = GaConfig(max_iterations=20, **base)
-        monkeypatch.setattr(ConfigParser, "write", dies_partway)
+        monkeypatch.setattr(search, "atomic_open", dies_partway)
         with pytest.raises(OSError, match="disk full"):
             run_ga(single_qubit_system, target, 30, longer, checkpoint_path=path,
                    checkpoint_every=1, resume_from=path)
@@ -745,6 +797,26 @@ class TestCheckpoint:
         straight = run_ga(single_qubit_system, target, 30, longer)
         np.testing.assert_array_equal(straight.best.bits, resumed.best.bits)
         np.testing.assert_array_equal(straight.history[10:], resumed.history)
+
+
+def configparser_text(fingerprint, iteration, rng, population, fitness, config):
+    """The four sections of a version-3 checkpoint as ``ConfigParser.write``
+    writes them."""
+    p, nch, n = population.shape
+    cp = ConfigParser(interpolation=None)
+    cp["meta"] = {"version": "3", "fingerprint": fingerprint, "iteration": str(iteration),
+                  "population_size": str(p), "num_channels": str(nch),
+                  "num_cycles": str(n)}
+    cp["ga"] = {f.name: str(getattr(config, f.name)) for f in fields(GaConfig)}
+    cp["rng"] = {"state": json.dumps(rng.bit_generator.state)}
+    cp["population"] = {}
+    for i in range(p):
+        cp["population"][f"fitness_{i}"] = float(fitness[i]).hex()
+        for c in range(nch):
+            cp["population"][f"bits_{i}_{c}"] = "".join(map(str, population[i, c]))
+    buf = io.StringIO()
+    cp.write(buf)
+    return buf.getvalue()
 
 
 @settings(max_examples=60, deadline=None)
@@ -772,6 +844,9 @@ def test_checkpoint_round_trip_property(
     path = tmp_path_factory.getbasetemp() / "round_trip.txt"
     write_checkpoint(path, fingerprint="f" * 64, iteration=iteration, rng=rng,
                      population=population, fitness=fitness, config=config)
+    # byte for byte what ConfigParser writes, which read_checkpoint reads
+    assert path.read_bytes() == configparser_text(
+        "f" * 64, iteration, rng, population, fitness, config).encode("ascii")
     state = read_checkpoint(path)
     assert state["fingerprint"] == "f" * 64
     assert state["iteration"] == iteration
